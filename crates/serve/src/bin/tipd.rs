@@ -11,11 +11,13 @@
 //! Three modes:
 //!
 //! * Plain daemon (default): listens for TIPW requests, runs submitted
-//!   jobs on a local worker pool, persists byte-stable campaign artifacts
-//!   to `--out`.
-//! * `--coordinator`: same wire surface, but no local workers — jobs are
-//!   sharded across fleet daemons that `--join` this address, and their
-//!   streamed results are committed through one in-order ledger.
+//!   jobs on `--jobs` local workers, persists byte-stable campaign
+//!   artifacts to `--out`. Fleet daemons may `--join` it too; they drain
+//!   the same queue as the local workers.
+//! * `--coordinator`: the same daemon with no local workers (and the
+//!   fleet lease default) — jobs run only on daemons that `--join` this
+//!   address, and their results are committed through one in-order
+//!   ledger.
 //! * `--join HOST:PORT`: the fleet daemon half. Registers with a
 //!   coordinator, polls for assignments, runs them locally, pushes the
 //!   rendered results back. Exits when the coordinator drains.
@@ -32,7 +34,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tip_serve::server::{serve, Backend, ServerConfig};
+use tip_serve::server::{serve, ServerConfig};
 use tip_serve::{run_agent, AgentConfig, ClientError, DEFAULT_FLEET_LEASE};
 
 fn usage() -> String {
@@ -231,9 +233,12 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Mode, String> {
     let mut config =
         ServerConfig::new(out_dir.ok_or_else(|| format!("--out is required\n{}", usage()))?);
     config.listen = listen.ok_or_else(|| format!("--listen is required\n{}", usage()))?;
-    config.workers = workers.unwrap_or_else(tip_bench::default_workers);
+    config.workers = if coordinator {
+        0
+    } else {
+        workers.unwrap_or_else(tip_bench::default_workers)
+    };
     config.resume = resume;
-    config.coordinator = coordinator;
     config.max_conns = max_conns;
     config.io_timeout = io_timeout;
     if let Some(t) = write_timeout {
@@ -281,10 +286,7 @@ fn run_serve(config: &ServerConfig) -> Result<(), DaemonError> {
         config.out_dir.display()
     );
     // Keep a stats source that survives `join` consuming the handle.
-    let stats_source = match handle.backend() {
-        Backend::Local(e) => Backend::Local(e.clone()),
-        Backend::Fleet(c) => Backend::Fleet(c.clone()),
-    };
+    let stats_source = handle.coordinator().clone();
     handle.join();
     let stats = stats_source.stats();
     eprintln!(
@@ -369,14 +371,14 @@ mod tests {
         }
         match parse(to_args("--listen 127.0.0.1:0 --out runs/x --jobs 3")) {
             Ok(Mode::Serve(c)) => {
-                assert!(!c.coordinator);
+                assert!(c.workers >= 1);
                 assert_eq!(c.workers, 3);
             }
             _ => panic!("expected plain serve mode"),
         }
         match parse(to_args("--listen 127.0.0.1:0 --out runs/x --coordinator")) {
             Ok(Mode::Serve(c)) => {
-                assert!(c.coordinator);
+                assert!(c.workers == 0);
                 assert_eq!(c.lease, DEFAULT_FLEET_LEASE, "fleet lease default");
             }
             _ => panic!("expected coordinator mode"),

@@ -474,13 +474,12 @@ impl Client {
         }
     }
 
-    /// Registers a fleet daemon with a coordinator; returns
-    /// `(daemon_id, lease_ms)`.
+    /// Registers a fleet daemon with a server (any `tipd` accepts
+    /// agents); returns `(daemon_id, lease_ms)`.
     ///
     /// # Errors
     ///
-    /// [`ClientError`]; notably `BadRequest` from a server that is not a
-    /// coordinator.
+    /// [`ClientError`] for connect, protocol, or server refusals.
     pub fn register(&self, name: &str, workers: u32) -> Result<(u64, u64), ClientError> {
         match self.call(&Request::Register {
             name: name.to_owned(),

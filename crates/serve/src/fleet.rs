@@ -1,70 +1,95 @@
-//! Fleet coordination: one coordinator shards a campaign across N
-//! registered daemons and merges their streamed results through a single
-//! in-order committer — the engine's determinism story, lifted one level.
+//! The job coordinator: one queue, one lease/epoch phase machine, and one
+//! in-order committer, served by two kinds of agent.
 //!
 //! # Shape
 //!
-//! The [`Coordinator`] is the fleet-scale analogue of
-//! [`crate::engine::Engine`]: it owns the job queue, the campaign
-//! [`Ledger`], the per-assignment leases, and the commit order. What it
-//! does *not* own is workers — daemons dial in over TIPW v3 frames
-//! ([`crate::proto::Request::Register`] /
-//! [`crate::proto::Request::PollJob`] / [`crate::proto::Request::PushResult`]),
-//! pull assignments, simulate locally, and push back **pre-rendered**
-//! result bodies ([`tip_bench::ledger::render_completed`] /
-//! [`tip_bench::ledger::render_failed`]). The coordinator's committer
-//! writes those bytes through the shared [`Ledger`] in submission order, so
-//! `journal.txt`, every `<bench>.result`, and `failures.txt` are
-//! byte-identical to a local [`tip_bench::campaign`] run at any
-//! (daemon × worker) fan-out.
+//! The [`Coordinator`] owns the job queue, the campaign [`Ledger`], the
+//! per-assignment leases, and the commit order. Agents claim assignments,
+//! simulate, render the result-file bytes on the spot
+//! ([`tip_bench::ledger::render_completed`] /
+//! [`tip_bench::ledger::render_failed`]), and settle them:
+//!
+//! * **Local agents** — the `workers` threads of this process, daemon 0.
+//!   They claim through the same code as [`Coordinator::poll_job`] but
+//!   sleep on the coordinator's condvar, so a submit wakes one at once.
+//! * **Remote agents** — daemons that dial in over TIPW
+//!   ([`crate::proto::Request::Register`] /
+//!   [`crate::proto::Request::PollJob`] /
+//!   [`crate::proto::Request::PushResult`]); [`run_agent`] is what
+//!   `tipd --join` runs.
+//!
+//! The committer writes every settled body verbatim through
+//! [`Ledger::commit_remote`] in submission order, so `journal.txt`, every
+//! `<bench>.result`, and `failures.txt` are byte-identical to a local
+//! [`tip_bench::campaign`] run at any (daemon × worker) fan-out, whichever
+//! agent ran which job.
+//!
+//! # Leases, epochs, and the reaper
+//!
+//! Every assignment carries a lease and a [`Heartbeat`]. A local worker
+//! ticks it at every attempt boundary ([`run_job_streaming`]); any frame
+//! from a remote daemon (beacon, poll, push, delta) ticks every assignment
+//! it holds. The reaper extends a lease whose heartbeat advanced and
+//! requeues one that stayed silent past its deadline under a bumped
+//! **epoch**: whatever the presumed-dead holder returns later is stale and
+//! discarded, and so are its delta flushes. Exactly one assignment's result
+//! ever reaches the ledger; a committed job is terminal and never requeued.
 //!
 //! # Failure domains
 //!
-//! * **Daemon death / partition** — every assignment carries a lease; any
-//!   contact from the holding daemon (beacon, poll, push) extends all of
-//!   its leases. The reaper requeues assignments whose lease expired under
-//!   a bumped epoch; a resurrected daemon pushing a result under the old
-//!   epoch is refused (`accepted=false`) and counted in `stale`. Exactly
-//!   one assignment's result ever reaches the ledger.
+//! * **Worker or daemon death / partition** — the lease expires and the job
+//!   is reassigned, ahead of the FIFO queue. A daemon silent for
+//!   `DEREGISTER_LEASES` leases loses its registration; its next call
+//!   gets [`ErrorCode::UnknownDaemon`] and it re-registers. Daemon 0 is
+//!   never registered, so a wire frame claiming it is refused the same way.
 //! * **Coordinator death** — the ledger is crash-consistent (atomic
 //!   renames, journal rewritten per commit). A restarted coordinator with
 //!   `resume` skips the journalled prefix exactly like a local resumed
-//!   campaign; daemons holding pre-crash assignments get
-//!   [`crate::proto::ErrorCode::UnknownDaemon`] and re-register, and their
-//!   stale pushes are discarded.
+//!   campaign; daemons holding pre-crash assignments re-register, and
+//!   their stale pushes are discarded.
 //! * **Overload** — the server layer sheds `Submit`s past the queue
-//!   watermark with a typed `Overloaded`, exactly as for a local engine
-//!   ([`Coordinator::queue_depth`] feeds the same check).
-//! * **Drain** — `PollJob` answers `NoWork{draining:true}` (agents exit),
-//!   in-flight pushes still commit, and the committer exits once nothing
-//!   assigned remains; the journal then covers a clean prefix for resume.
+//!   watermark ([`Coordinator::queue_depth`]).
+//! * **Drain** — fresh FIFO work stops (`PollJob` answers
+//!   `NoWork{draining:true}` and agents exit), reassignments still go out
+//!   so survivors fill holes, in-flight results still commit, and the
+//!   journal then covers a clean prefix for resume.
 //!
-//! The agent half ([`run_agent`]) is what `tipd --join` runs: worker
-//! threads polling/running/pushing plus one process-level beacon thread —
-//! daemon-granular liveness, since a dead process takes all its workers
-//! with it.
+//! # Progress history and idempotent submission
+//!
+//! Every externally visible state transition of a job is appended to a
+//! per-job history with a dense sequence number, so a `Watch{from_seq}`
+//! that reconnects resumes without gaps or duplicates. A submit may carry
+//! a nonzero request id; a repeat returns the original job id instead of
+//! enqueueing a second copy.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::client::{Client, ClientError};
-use crate::engine::SubmitError;
 use crate::proto::{DeltaFrame, ErrorCode, JobSpec, JobState, RemoteOutcome, ServerStats};
 use tip_bench::campaign::{CompletedBench, FailedBench};
-use tip_bench::executor::{run_job_streaming, Heartbeat, Job, JobMetrics, SpecRunner};
+use tip_bench::executor::{
+    run_job_streaming, ExecSummary, Heartbeat, Job, JobMetrics, Runner, SpecRunner,
+};
 use tip_bench::experiments::SuiteRun;
 use tip_bench::ledger::{one_line, render_completed, render_failed, result_path, Ledger};
 use tip_bench::live::{DeltaEvent, DeltaSink, LiveAggregate};
 use tip_bench::run::MAX_CYCLES;
 use tip_isa::{Granularity, SymbolId};
 use tip_ooo::CoreConfig;
-use tip_workloads::{benchmark, SuiteScale, BENCHMARK_NAMES};
+use tip_workloads::{benchmark, BENCHMARK_NAMES};
 
-/// Default assignment lease. Shorter than the engine's worker lease: a
+/// Default assignment lease with local workers: generous enough that a
+/// full-scale benchmark attempt (which beats only at attempt boundaries)
+/// never trips it on a healthy host, short enough that a genuinely wedged
+/// worker is reaped within operational patience.
+pub const DEFAULT_LEASE: Duration = Duration::from_secs(300);
+
+/// Default lease for a pure coordinator (`tipd --coordinator`): a remote
 /// daemon beacons at `lease / 4` from a dedicated thread regardless of how
 /// long its simulations run, so the lease only has to outlive network
 /// jitter, not a benchmark attempt.
@@ -80,31 +105,47 @@ const DEREGISTER_LEASES: u32 = 4;
 pub struct CoordinatorConfig {
     /// Campaign directory: journal, result files, failure report, metrics.
     pub out_dir: PathBuf,
+    /// In-process worker agents (daemon 0). 0 makes a pure coordinator
+    /// whose jobs run only on daemons that join it.
+    pub workers: usize,
     /// Skip benchmarks the directory's journal already records as done.
     pub resume: bool,
-    /// Assignment lease: a daemon silent longer than this has its
-    /// assignments requeued under a bumped epoch.
+    /// Assignment lease: an assignment whose heartbeat stays silent this
+    /// long is requeued under a bumped epoch.
     pub lease: Duration,
-    /// Live streaming aggregate daemon-pushed deltas are folded into;
-    /// `None` creates a private one.
+    /// Live streaming aggregate the agents' delta flushes are folded into;
+    /// `None` creates a private one. Streaming is observational either way
+    /// — artifacts are byte-identical with any choice here.
     pub live: Option<Arc<LiveAggregate>>,
 }
 
 impl CoordinatorConfig {
-    /// A config with production defaults: fresh (no resume),
-    /// [`DEFAULT_FLEET_LEASE`].
+    /// A config with production defaults: 1 local worker, fresh (no
+    /// resume), [`DEFAULT_LEASE`].
     #[must_use]
     pub fn new(out_dir: PathBuf) -> Self {
         CoordinatorConfig {
             out_dir,
+            workers: 1,
             resume: false,
-            lease: DEFAULT_FLEET_LEASE,
+            lease: DEFAULT_LEASE,
             live: None,
         }
     }
 }
 
-/// One registered daemon.
+/// Why a submit was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The benchmark name is not in [`BENCHMARK_NAMES`].
+    UnknownBench(String),
+    /// The core preset name is not known.
+    UnknownCore(String),
+    /// The coordinator is draining and accepts no new work.
+    Draining,
+}
+
+/// One registered remote daemon.
 #[derive(Debug)]
 struct DaemonInfo {
     /// Self-reported name (host:port or free text), for metrics and logs.
@@ -139,23 +180,43 @@ pub enum PollReply {
     },
 }
 
-/// Internal lifecycle of one fleet queue entry — the engine's phase
-/// machine with `Running{worker}` generalized to `Assigned{daemon}`.
+/// Internal lifecycle of one queue entry.
 #[derive(Debug)]
 enum Phase {
+    /// Waiting for an agent (or, if the resume journal already covers it,
+    /// for the committer to acknowledge the skip).
     Queued {
         skip: bool,
     },
+    /// Leased to `daemon` (0 = the in-process pool). `worker` is what
+    /// `JobState::Running` reports: the pool thread index for daemon 0,
+    /// the daemon id otherwise.
     Assigned {
         daemon: u64,
+        worker: u32,
     },
-    /// Result received; parked for the committer.
-    Settled,
+    /// Result received from `daemon`; parked for the committer.
+    Settled {
+        daemon: u64,
+    },
+    /// Committed to the ledger; result file on disk.
     Done {
         ok: bool,
         attempts: u32,
     },
     Cancelled,
+}
+
+/// A running assignment's liveness record.
+#[derive(Debug)]
+struct Lease {
+    /// When the assignment is declared dead unless the heartbeat advances.
+    deadline: Instant,
+    /// Ticked by the holder: at attempt boundaries by a local worker, on
+    /// every frame by a remote daemon.
+    beacon: Heartbeat,
+    /// Beats observed at the last reaper scan.
+    beats_seen: u64,
 }
 
 struct Entry {
@@ -164,19 +225,23 @@ struct Entry {
     name: &'static str,
     phase: Phase,
     enqueued: Instant,
-    /// Queue wait of the committed assignment (recorded at assignment).
+    /// Queue wait of the latest assignment.
     queue_wait: Duration,
     outcome: Option<RemoteOutcome>,
-    /// Bumped on every reassignment; a push under a stale epoch is
+    /// Bumped on every reassignment; a result under a stale epoch is
     /// discarded.
     epoch: u64,
-    /// Times the job was assigned to a daemon.
+    /// Times the job was assigned (lands in `metrics.txt` as
+    /// `assignments=`).
     assignments: u32,
-    /// Lease deadline while `Assigned`.
-    deadline: Option<Instant>,
+    /// The current assignment's lease, while `Assigned`.
+    lease: Option<Lease>,
+    /// Every externally visible state, in order; the index is the `Watch`
+    /// stream's sequence number.
     history: Vec<JobState>,
 }
 
+#[derive(Default)]
 struct State {
     entries: Vec<Entry>,
     next_assign: usize,
@@ -185,9 +250,14 @@ struct State {
     next_commit: usize,
     draining: bool,
     shutdown: bool,
+    /// Registered remote daemons (never daemon 0).
     daemons: HashMap<u64, DaemonInfo>,
     next_daemon: u64,
+    /// Bench names the resume journal covers plus names settled in this
+    /// run — a resubmitted suite skips exactly what a resumed local
+    /// campaign would.
     done_names: HashSet<String>,
+    /// Idempotent-submit dedup: request id → job id.
     dedup: HashMap<u64, u64>,
     busy: Duration,
     wait_sum: Duration,
@@ -204,27 +274,152 @@ struct State {
 }
 
 impl State {
+    fn count(&self, pred: impl Fn(&Phase) -> bool) -> usize {
+        self.entries.iter().filter(|e| pred(&e.phase)).count()
+    }
+
+    fn queued_count(&self) -> usize {
+        self.count(|p| matches!(p, Phase::Queued { .. }))
+    }
+
     fn assigned_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e.phase, Phase::Assigned { .. }))
-            .count()
+        self.count(|p| matches!(p, Phase::Assigned { .. }))
+    }
+
+    /// The next entry to hand an agent: a reassigned task first (also
+    /// while draining, so survivors fill holes left by dead agents), else
+    /// the FIFO head unless draining. Entries that never need an agent —
+    /// cancelled ones, resume-skips the committer acknowledges — are
+    /// passed over.
+    fn claim(&mut self) -> Option<usize> {
+        if let Some(index) = self.requeued.pop_front() {
+            return Some(index);
+        }
+        while self.next_assign < self.entries.len()
+            && !matches!(
+                self.entries[self.next_assign].phase,
+                Phase::Queued { skip: false }
+            )
+        {
+            self.next_assign += 1;
+        }
+        if self.next_assign == self.entries.len() || self.draining {
+            return None;
+        }
+        self.next_assign += 1;
+        Some(self.next_assign - 1)
+    }
+
+    /// Leases entry `index` to `daemon`; returns the assignment's epoch and
+    /// the heartbeat its holder ticks.
+    fn assign(
+        &mut self,
+        index: usize,
+        daemon: u64,
+        worker: u32,
+        lease: Duration,
+    ) -> (u64, Heartbeat) {
+        let beacon = Heartbeat::live();
+        let entry = &mut self.entries[index];
+        entry.phase = Phase::Assigned { daemon, worker };
+        entry.assignments += 1;
+        entry.queue_wait = entry.enqueued.elapsed();
+        entry.lease = Some(Lease {
+            deadline: Instant::now() + lease,
+            beacon: beacon.clone(),
+            beats_seen: 0,
+        });
+        entry.history.push(JobState::Running { worker });
+        (entry.epoch, beacon)
+    }
+
+    /// Parks `daemon`'s result for entry `index` under `epoch`; the answer
+    /// is [`Coordinator::push_result`]'s.
+    fn settle(&mut self, daemon: u64, index: usize, epoch: u64, outcome: RemoteOutcome) -> bool {
+        let entry = &mut self.entries[index];
+        if entry.epoch == epoch {
+            match entry.phase {
+                Phase::Assigned { .. } => {
+                    entry.outcome = Some(outcome);
+                    entry.phase = Phase::Settled { daemon };
+                    entry.lease = None;
+                    return true;
+                }
+                Phase::Settled { .. } | Phase::Done { .. } => return true,
+                _ => {}
+            }
+        }
+        self.stale_results += 1;
+        false
+    }
+
+    /// Declares entry `index`'s assignment dead: the epoch bump makes
+    /// whatever its holder returns stale.
+    fn expire(&mut self, index: usize) {
+        let entry = &mut self.entries[index];
+        entry.epoch += 1;
+        entry.phase = Phase::Queued { skip: false };
+        entry.lease = None;
+        entry.history.push(JobState::Queued { ahead: 0 });
+    }
+
+    fn job_index(&self, job: u64) -> Option<usize> {
+        let index = usize::try_from(job.checked_sub(1)?).ok()?;
+        (index < self.entries.len()).then_some(index)
+    }
+
+    /// Marks contact from a remote daemon: refreshes its registration and
+    /// ticks every lease it holds; returns how many that is.
+    fn touch(&mut self, daemon: u64) -> Result<u32, ErrorCode> {
+        let info = self
+            .daemons
+            .get_mut(&daemon)
+            .ok_or(ErrorCode::UnknownDaemon)?;
+        info.last_seen = Instant::now();
+        let mut tasks = 0;
+        for entry in &self.entries {
+            if let (Phase::Assigned { daemon: d, .. }, Some(lease)) = (&entry.phase, &entry.lease) {
+                if *d == daemon {
+                    lease.beacon.tick();
+                    tasks += 1;
+                }
+            }
+        }
+        Ok(tasks)
     }
 }
 
 struct Inner {
     state: Mutex<State>,
-    /// Committer, reaper, and watchers sleep here for any state change.
+    /// Local workers, the committer, the reaper, and watchers sleep here
+    /// for any state change.
     changed: Condvar,
+    /// In-process worker agents.
+    workers: usize,
     lease: Duration,
     started: Instant,
     out_dir: PathBuf,
-    /// The streaming aggregate daemon-pushed delta flushes land in.
+    /// The streaming aggregate every agent's delta flushes land in.
     live: Arc<LiveAggregate>,
 }
 
-/// The shared fleet coordinator. Cheap to clone; all clones drive one
-/// queue.
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("coordinator lock")
+    }
+
+    /// Local plus remote worker threads.
+    fn total_workers(&self, state: &State) -> usize {
+        self.workers
+            + state
+                .daemons
+                .values()
+                .map(|d| d.workers as usize)
+                .sum::<usize>()
+    }
+}
+
+/// The shared job coordinator. Cheap to clone; all clones drive one queue.
 #[derive(Clone)]
 pub struct Coordinator {
     inner: Arc<Inner>,
@@ -232,41 +427,42 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Opens the ledger (resuming the settled prefix if asked) and starts
-    /// the committer and lease-reaper threads.
+    /// Starts the coordinator with the production [`SpecRunner`].
     #[must_use]
     pub fn start(config: &CoordinatorConfig) -> Coordinator {
+        Coordinator::start_with_runner(config, SpecRunner)
+    }
+
+    /// Opens the ledger (resuming the settled prefix if asked) and starts
+    /// `config.workers` local agents running `runner` (tests inject faults
+    /// the same way the chaos campaign does), the committer, and the lease
+    /// reaper.
+    #[must_use]
+    pub fn start_with_runner<R>(config: &CoordinatorConfig, runner: R) -> Coordinator
+    where
+        R: Runner + Send + Clone + 'static,
+    {
         let ledger = Ledger::open(Some(&config.out_dir), config.resume);
-        let done_names: HashSet<String> = ledger.done_names().into_iter().collect();
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
-                entries: Vec::new(),
-                next_assign: 0,
-                requeued: VecDeque::new(),
-                next_commit: 0,
-                draining: false,
-                shutdown: false,
-                daemons: HashMap::new(),
                 next_daemon: 1,
-                done_names,
-                dedup: HashMap::new(),
-                busy: Duration::ZERO,
-                wait_sum: Duration::ZERO,
-                settled: 0,
-                done: 0,
-                failed: 0,
-                cancelled: 0,
-                reassigned: 0,
-                stale_results: 0,
-                reaped_untold: false,
+                done_names: ledger.done_names().into_iter().collect(),
+                ..State::default()
             }),
             changed: Condvar::new(),
+            workers: config.workers,
             lease: config.lease.max(Duration::from_millis(1)),
             started: Instant::now(),
             out_dir: config.out_dir.clone(),
             live: config.live.clone().unwrap_or_default(),
         });
-        let mut threads = Vec::with_capacity(2);
+        let mut threads = Vec::with_capacity(config.workers + 2);
+        for worker in 0..config.workers {
+            let (inner, runner) = (Arc::clone(&inner), runner.clone());
+            threads.push(thread::spawn(move || {
+                local_worker_loop(&inner, worker as u32, &runner);
+            }));
+        }
         {
             let inner = Arc::clone(&inner);
             threads.push(thread::spawn(move || committer_loop(&inner, ledger)));
@@ -281,11 +477,11 @@ impl Coordinator {
         }
     }
 
-    /// Registers a daemon, returning its fresh id and the lease duration
-    /// in milliseconds. Every registration gets a new id — a restarted
-    /// daemon never aliases its dead predecessor's leases.
+    /// Registers a remote daemon, returning its fresh id (never 0) and the
+    /// lease duration in milliseconds. Every registration gets a new id — a
+    /// restarted daemon never aliases its dead predecessor's leases.
     pub fn register(&self, name: &str, workers: u32) -> (u64, u64) {
-        let mut state = self.inner.state.lock().expect("fleet lock");
+        let mut state = self.inner.lock();
         let id = state.next_daemon;
         state.next_daemon += 1;
         state.daemons.insert(
@@ -302,8 +498,8 @@ impl Coordinator {
         (id, self.inner.lease.as_millis() as u64)
     }
 
-    /// A daemon's heartbeat: extends the leases of every assignment it
-    /// holds and returns how many that is.
+    /// A daemon's heartbeat: ticks the leases of every assignment it holds
+    /// and returns how many that is.
     ///
     /// # Errors
     ///
@@ -311,78 +507,46 @@ impl Coordinator {
     /// coordinator restarted or dropped the daemon as dead) — the daemon
     /// must re-register.
     pub fn beacon(&self, daemon: u64) -> Result<u32, ErrorCode> {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        touch(&mut state, daemon, self.inner.lease)
+        self.inner.lock().touch(daemon)
     }
 
     /// Hands the daemon one leased assignment, or `NoWork`. Polling also
-    /// counts as a heartbeat. Reassigned tasks go out before the FIFO
-    /// prefix (their watchers are already stalled), and keep going out
-    /// during a drain so surviving daemons fill holes left by dead ones;
-    /// fresh FIFO work stops at drain.
+    /// counts as a heartbeat.
     ///
     /// # Errors
     ///
     /// [`ErrorCode::UnknownDaemon`] — see [`Coordinator::beacon`].
     pub fn poll_job(&self, daemon: u64) -> Result<PollReply, ErrorCode> {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        touch(&mut state, daemon, self.inner.lease)?;
-        let index = if let Some(index) = state.requeued.pop_front() {
-            index
-        } else {
-            // Skip entries that will never need a daemon (cancelled,
-            // resume-skips — the committer acknowledges those).
-            while state.next_assign < state.entries.len()
-                && !matches!(
-                    state.entries[state.next_assign].phase,
-                    Phase::Queued { skip: false }
-                )
-            {
-                state.next_assign += 1;
+        let mut state = self.inner.lock();
+        state.touch(daemon)?;
+        let Some(index) = state.claim() else {
+            let draining = state.draining;
+            if draining {
+                if let Some(info) = state.daemons.get_mut(&daemon) {
+                    info.told_draining = true;
+                }
+                drop(state);
                 self.inner.changed.notify_all();
             }
-            if state.next_assign < state.entries.len() && !state.draining {
-                let index = state.next_assign;
-                state.next_assign += 1;
-                index
-            } else {
-                let draining = state.draining || state.shutdown;
-                if draining {
-                    if let Some(info) = state.daemons.get_mut(&daemon) {
-                        info.told_draining = true;
-                    }
-                    drop(state);
-                    self.inner.changed.notify_all();
-                }
-                return Ok(PollReply::NoWork { draining });
-            }
+            return Ok(PollReply::NoWork { draining });
         };
-        let wait = state.entries[index].enqueued.elapsed();
-        let entry = &mut state.entries[index];
-        entry.phase = Phase::Assigned { daemon };
-        entry.assignments += 1;
-        entry.queue_wait = wait;
-        entry.deadline = Some(Instant::now() + self.inner.lease);
-        #[allow(clippy::cast_possible_truncation)]
-        entry.history.push(JobState::Running {
-            worker: daemon as u32,
-        });
-        let reply = PollReply::Assignment {
-            task: index as u64 + 1,
-            epoch: entry.epoch,
-            spec: entry.spec.clone(),
-        };
+        let (epoch, _) = state.assign(index, daemon, daemon as u32, self.inner.lease);
+        let spec = state.entries[index].spec.clone();
         drop(state);
         self.inner.changed.notify_all();
-        Ok(reply)
+        Ok(PollReply::Assignment {
+            task: index as u64 + 1,
+            epoch,
+            spec,
+        })
     }
 
     /// Accepts one pushed result. Returns whether it was (or already had
-    /// been) committed under this epoch; `false` means the epoch was stale
-    /// — the task was reassigned while the daemon was silent — and the
-    /// result was discarded. Duplicate pushes for an already-settled task
-    /// under the live epoch are acked `true` without committing twice, so
-    /// a daemon retrying a lost ack is safe.
+    /// been) accepted under this epoch; `false` means the epoch was stale
+    /// — the task was reassigned while the daemon was silent — or the task
+    /// is unknown, and the result was discarded. A duplicate push under
+    /// the live epoch (a retried push whose ack got lost) is acked `true`
+    /// without committing twice.
     ///
     /// # Errors
     ///
@@ -394,37 +558,15 @@ impl Coordinator {
         epoch: u64,
         outcome: RemoteOutcome,
     ) -> Result<bool, ErrorCode> {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        touch(&mut state, daemon, self.inner.lease)?;
-        let Some(index) = task
-            .checked_sub(1)
-            .and_then(|i| usize::try_from(i).ok())
-            .filter(|&i| i < state.entries.len())
-        else {
+        let mut state = self.inner.lock();
+        state.touch(daemon)?;
+        let Some(index) = state.job_index(task) else {
             return Ok(false);
         };
-        let entry = &mut state.entries[index];
-        if entry.epoch != epoch {
-            state.stale_results += 1;
-            return Ok(false);
-        }
-        match entry.phase {
-            Phase::Assigned { .. } => {
-                entry.outcome = Some(outcome);
-                entry.phase = Phase::Settled;
-                entry.deadline = None;
-                drop(state);
-                self.inner.changed.notify_all();
-                Ok(true)
-            }
-            // Same epoch, already settled or committed: the daemon is
-            // retrying a push whose ack got lost. Idempotent.
-            Phase::Settled | Phase::Done { .. } => Ok(true),
-            _ => {
-                state.stale_results += 1;
-                Ok(false)
-            }
-        }
+        let accepted = state.settle(daemon, index, epoch, outcome);
+        drop(state);
+        self.inner.changed.notify_all();
+        Ok(accepted)
     }
 
     /// Folds one daemon-pushed delta flush into the live aggregate.
@@ -438,10 +580,11 @@ impl Coordinator {
     ///
     /// [`ErrorCode::UnknownDaemon`] — see [`Coordinator::beacon`].
     pub fn accept_delta(&self, daemon: u64, event: &DeltaEvent) -> Result<bool, ErrorCode> {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        touch(&mut state, daemon, self.inner.lease)?;
+        let mut state = self.inner.lock();
+        state.touch(daemon)?;
         let holds = state.entries.iter().any(|e| {
-            e.name == event.bench && matches!(e.phase, Phase::Assigned { daemon: d } if d == daemon)
+            e.name == event.bench
+                && matches!(e.phase, Phase::Assigned { daemon: d, .. } if d == daemon)
         });
         drop(state);
         if holds {
@@ -456,25 +599,16 @@ impl Coordinator {
         Arc::clone(&self.inner.live)
     }
 
-    /// The submitted scale of `bench`, for server-side symbol resolution.
-    /// `None` until a job for that benchmark has been submitted.
-    #[must_use]
-    pub fn scale_of(&self, bench: &str) -> Option<SuiteScale> {
-        let state = self.inner.state.lock().expect("fleet lock");
-        state
-            .entries
-            .iter()
-            .find(|e| e.name == bench)
-            .map(|e| e.spec.scale)
-    }
-
-    /// Human-readable names for `syms` of `bench` at granularity `g`.
-    /// The coordinator never resolves programs itself (daemons do), so
-    /// this regenerates the benchmark — callers should cache.
+    /// Human-readable names for `syms` of `bench` at granularity `g`, or
+    /// `None` until a job for that benchmark has been submitted. Programs
+    /// are regenerated per call — callers should cache.
     #[must_use]
     pub fn symbol_names(&self, bench: &str, g: Granularity, syms: &[u32]) -> Option<Vec<String>> {
-        let scale = self.scale_of(bench)?;
-        let name = BENCHMARK_NAMES.iter().find(|&&n| n == bench)?;
+        let (name, scale) = {
+            let state = self.inner.lock();
+            let entry = state.entries.iter().find(|e| e.name == bench)?;
+            (entry.name, entry.spec.scale)
+        };
         let program = benchmark(name, scale).program;
         let n = program.num_symbols(g) as u32;
         Some(
@@ -490,36 +624,43 @@ impl Coordinator {
         )
     }
 
-    /// Enqueues a job with an idempotency key — the fleet analogue of
-    /// [`crate::engine::Engine::submit_deduped`], with identical
-    /// validation and resume-skip semantics. The program itself is *not*
-    /// generated here: daemons regenerate it from the bench name, which
-    /// keeps assignments small and artifacts byte-identical.
+    /// Enqueues a job, returning its 1-based id. A benchmark the resume
+    /// journal (or this run) already settled is acknowledged as done
+    /// without re-running — its artifacts are already on disk.
     ///
     /// # Errors
     ///
     /// [`SubmitError`] for an unknown benchmark or core preset, or when
     /// the coordinator is draining.
+    pub fn submit(&self, spec: &JobSpec) -> Result<u64, SubmitError> {
+        self.submit_deduped(spec, 0)
+    }
+
+    /// [`Coordinator::submit`] with an idempotency key: a repeated submit
+    /// carrying the same nonzero `req_id` returns the originally assigned
+    /// job id. The program itself is *not* generated here: agents
+    /// regenerate it from the bench name, which keeps assignments small
+    /// and artifacts byte-identical.
+    ///
+    /// # Errors
+    ///
+    /// As [`Coordinator::submit`].
     pub fn submit_deduped(&self, spec: &JobSpec, req_id: u64) -> Result<u64, SubmitError> {
         let Some(&name) = BENCHMARK_NAMES.iter().find(|&&n| n == spec.bench) else {
             return Err(SubmitError::UnknownBench(spec.bench.clone()));
         };
         resolve_core(&spec.core)?;
-        let mut state = self.inner.state.lock().expect("fleet lock");
+        let mut state = self.inner.lock();
         if req_id != 0 {
             if let Some(&id) = state.dedup.get(&req_id) {
                 return Ok(id);
             }
         }
-        if state.draining || state.shutdown {
+        if state.draining {
             return Err(SubmitError::Draining);
         }
         let skip = state.done_names.contains(name);
-        let ahead = state
-            .entries
-            .iter()
-            .filter(|e| matches!(e.phase, Phase::Queued { .. }))
-            .count() as u32;
+        let ahead = state.queued_count() as u32;
         state.entries.push(Entry {
             spec: spec.clone(),
             name,
@@ -529,7 +670,7 @@ impl Coordinator {
             outcome: None,
             epoch: 0,
             assignments: 0,
-            deadline: None,
+            lease: None,
             history: vec![JobState::Queued { ahead }],
         });
         let id = state.entries.len() as u64;
@@ -545,8 +686,8 @@ impl Coordinator {
     /// unknown id.
     #[must_use]
     pub fn bench_of(&self, job: u64) -> Option<String> {
-        let state = self.inner.state.lock().expect("fleet lock");
-        let index = job_index(&state, job)?;
+        let state = self.inner.lock();
+        let index = state.job_index(job)?;
         Some(state.entries[index].name.to_owned())
     }
 
@@ -554,8 +695,8 @@ impl Coordinator {
     /// unknown id.
     #[must_use]
     pub fn status(&self, job: u64) -> Option<JobState> {
-        let state = self.inner.state.lock().expect("fleet lock");
-        let index = job_index(&state, job)?;
+        let state = self.inner.lock();
+        let index = state.job_index(job)?;
         Some(match state.entries[index].phase {
             Phase::Queued { .. } => JobState::Queued {
                 ahead: state.entries[state.next_assign.min(index)..index]
@@ -563,29 +704,18 @@ impl Coordinator {
                     .filter(|e| matches!(e.phase, Phase::Queued { .. }))
                     .count() as u32,
             },
-            #[allow(clippy::cast_possible_truncation)]
-            Phase::Assigned { daemon } => JobState::Running {
-                worker: daemon as u32,
-            },
+            Phase::Assigned { worker, .. } => JobState::Running { worker },
             // Settled-but-uncommitted reports as still running: `Done`
             // must imply the result file is on disk.
-            Phase::Settled => JobState::Running { worker: 0 },
+            Phase::Settled { .. } => JobState::Running { worker: 0 },
             Phase::Done { ok, attempts } => JobState::Done { ok, attempts },
             Phase::Cancelled => JobState::Cancelled,
         })
     }
 
-    /// The job's progress history from `from_seq` on; `None` for an
-    /// unknown id.
-    #[must_use]
-    pub fn history_from(&self, job: u64, from_seq: u64) -> Option<Vec<(u64, JobState)>> {
-        let state = self.inner.state.lock().expect("fleet lock");
-        let index = job_index(&state, job)?;
-        Some(history_tail(&state.entries[index], from_seq))
-    }
-
     /// Blocks until the job's history grows past `from_seq` (or the
-    /// timeout elapses). `None` for an unknown id.
+    /// timeout elapses, returning whatever is there — possibly empty).
+    /// `None` for an unknown id.
     #[must_use]
     pub fn wait_history(
         &self,
@@ -594,22 +724,26 @@ impl Coordinator {
         timeout: Duration,
     ) -> Option<Vec<(u64, JobState)>> {
         let deadline = Instant::now() + timeout;
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        let index = job_index(&state, job)?;
+        let mut state = self.inner.lock();
+        let index = state.job_index(job)?;
+        let start = usize::try_from(from_seq).unwrap_or(usize::MAX);
         loop {
-            let tail = history_tail(&state.entries[index], from_seq);
-            if !tail.is_empty() {
-                return Some(tail);
-            }
+            let tail: Vec<(u64, JobState)> = state.entries[index]
+                .history
+                .iter()
+                .enumerate()
+                .skip(start)
+                .map(|(i, &s)| (i as u64, s))
+                .collect();
             let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+            if !tail.is_empty() || left.is_zero() {
                 return Some(tail);
             }
             state = self
                 .inner
                 .changed
                 .wait_timeout(state, left)
-                .expect("fleet lock")
+                .expect("coordinator lock")
                 .0;
         }
     }
@@ -617,20 +751,16 @@ impl Coordinator {
     /// Jobs waiting in the queue — the server's load-shedding figure.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        let state = self.inner.state.lock().expect("fleet lock");
-        state
-            .entries
-            .iter()
-            .filter(|e| matches!(e.phase, Phase::Queued { .. }))
-            .count()
+        self.inner.lock().queued_count()
     }
 
-    /// Cancels a still-queued job (same rules as the engine: never
-    /// assigned, not a resume-skip).
+    /// Cancels a still-queued job. Returns `false` if the job is unknown,
+    /// already assigned at least once (a requeued job counts: its old
+    /// holder may still be finishing it), a resume-skip, or settled.
     #[must_use]
     pub fn cancel(&self, job: u64) -> bool {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        let Some(index) = job_index(&state, job) else {
+        let mut state = self.inner.lock();
+        let Some(index) = state.job_index(job) else {
             return false;
         };
         if index < state.next_assign
@@ -642,6 +772,7 @@ impl Coordinator {
         state.entries[index].history.push(JobState::Cancelled);
         state.cancelled += 1;
         drop(state);
+        // The committer may be parked waiting for exactly this index.
         self.inner.changed.notify_all();
         true
     }
@@ -654,37 +785,31 @@ impl Coordinator {
     /// or its file cannot be read.
     pub fn result(&self, job: u64) -> Result<String, String> {
         let bench = {
-            let state = self.inner.state.lock().expect("fleet lock");
-            let Some(index) = job_index(&state, job) else {
+            let state = self.inner.lock();
+            let Some(index) = state.job_index(job) else {
                 return Err(format!("unknown job {job}"));
             };
             match state.entries[index].phase {
-                Phase::Done { .. } => state.entries[index].name.to_owned(),
+                Phase::Done { .. } => state.entries[index].name,
                 Phase::Cancelled => return Err(format!("job {job} was cancelled")),
                 _ => return Err(format!("job {job} has not finished")),
             }
         };
-        std::fs::read_to_string(result_path(&self.inner.out_dir, &bench))
+        std::fs::read_to_string(result_path(&self.inner.out_dir, bench))
             .map_err(|e| format!("result file unreadable: {e}"))
     }
 
-    /// A snapshot of the coordinator's counters (`connections` and `shed`
-    /// are left 0 for the server layer).
+    /// A snapshot of the coordinator's counters (`connections`, `shed`,
+    /// `deltas` and `streamed` are left 0 for the server layer).
     #[must_use]
     pub fn stats(&self) -> ServerStats {
-        let state = self.inner.state.lock().expect("fleet lock");
-        let queued = state
-            .entries
-            .iter()
-            .filter(|e| matches!(e.phase, Phase::Queued { .. }))
-            .count() as u32;
-        let running = state.assigned_count() as u32;
-        let workers: u32 = state.daemons.values().map(|d| d.workers).sum();
+        let state = self.inner.lock();
+        let workers = self.inner.total_workers(&state) as u32;
         let uptime = self.inner.started.elapsed();
         let worker_seconds = uptime.as_secs_f64() * f64::from(workers.max(1));
         ServerStats {
-            queued,
-            running,
+            queued: state.queued_count() as u32,
+            running: state.assigned_count() as u32,
             done: state.done,
             failed: state.failed,
             cancelled: state.cancelled,
@@ -710,19 +835,19 @@ impl Coordinator {
         }
     }
 
-    /// Stale pushes discarded so far (test observability).
+    /// Results discarded because their assignment's lease had expired
+    /// (test observability).
     #[must_use]
     pub fn stale_results(&self) -> u32 {
-        self.inner.state.lock().expect("fleet lock").stale_results
+        self.inner.lock().stale_results
     }
 
     /// Stops handing out fresh work; reassignments still go out so
-    /// surviving daemons can fill holes, and in-flight pushes still
-    /// commit.
+    /// surviving agents can fill holes, and in-flight results still
+    /// commit. Queued jobs stay queued (and unjournaled) — a restarted
+    /// daemon re-runs them.
     pub fn drain(&self) {
-        let mut state = self.inner.state.lock().expect("fleet lock");
-        state.draining = true;
-        drop(state);
+        self.inner.lock().draining = true;
         self.inner.changed.notify_all();
     }
 
@@ -730,7 +855,8 @@ impl Coordinator {
     /// draining `NoWork` — or has lapsed and been reaped — so a graceful
     /// shutdown can close the listener without stranding agents: they
     /// dial per request, and a listener that vanishes before the drain
-    /// broadcast leaves them spinning out their give-up window.
+    /// broadcast leaves them spinning out their give-up window. The local
+    /// pool is never waited for here; it has no listener to lose.
     ///
     /// Sending the notice is not the same as the agent decoding it: a
     /// chaotic link can corrupt the one reply that carried it, and the
@@ -756,7 +882,7 @@ impl Coordinator {
         let start = Instant::now();
         let deadline = start + cutoff;
         let hard_cap = deadline + settle;
-        let mut state = self.inner.state.lock().expect("fleet lock");
+        let mut state = self.inner.lock();
         loop {
             let now = Instant::now();
             if now >= hard_cap {
@@ -771,79 +897,42 @@ impl Coordinator {
                 return;
             }
             let wait = (hard_cap - now).min(Duration::from_millis(50));
-            let (guard, _) = self
+            state = self
                 .inner
                 .changed
                 .wait_timeout(state, wait)
-                .expect("fleet lock");
-            state = guard;
+                .expect("coordinator lock")
+                .0;
         }
     }
 
-    /// Shuts down and joins the committer and reaper, writing the final
-    /// `metrics.txt`. With `drain`, waits for in-flight assignments to
-    /// push (bounded by the lease: a dead daemon's assignment expires and
-    /// is abandoned); without, assignments are force-expired so anything
-    /// pushed afterwards is discarded as stale. Idempotent.
+    /// Shuts down and joins every thread, writing the final `metrics.txt`.
+    /// With `drain`, waits for in-flight assignments to settle (bounded by
+    /// the lease: a dead daemon's assignment expires and is abandoned).
+    /// Without, remote assignments are force-expired so anything pushed
+    /// afterwards is discarded as stale; the local pool's always finish —
+    /// its workers are threads of this process, abandoning them buys
+    /// nothing. Idempotent.
     pub fn shutdown(&self, drain: bool) {
         {
-            let mut state = self.inner.state.lock().expect("fleet lock");
+            let mut state = self.inner.lock();
             state.draining = true;
             state.shutdown = true;
             if !drain {
                 for index in 0..state.entries.len() {
-                    let entry = &mut state.entries[index];
-                    if matches!(entry.phase, Phase::Assigned { .. }) {
-                        entry.epoch += 1;
-                        entry.phase = Phase::Queued { skip: false };
-                        entry.deadline = None;
-                        entry.history.push(JobState::Queued { ahead: 0 });
+                    if matches!(state.entries[index].phase, Phase::Assigned { daemon, .. } if daemon != 0)
+                    {
+                        state.expire(index);
                     }
                 }
             }
         }
         self.inner.changed.notify_all();
-        let threads = std::mem::take(&mut *self.threads.lock().expect("fleet threads"));
+        let threads = std::mem::take(&mut *self.threads.lock().expect("coordinator threads"));
         for t in threads {
             let _ = t.join();
         }
     }
-}
-
-/// Marks contact from a daemon: refreshes its registration and extends
-/// every lease it holds. The common prologue of beacon/poll/push.
-fn touch(state: &mut State, daemon: u64, lease: Duration) -> Result<u32, ErrorCode> {
-    if !state.daemons.contains_key(&daemon) {
-        return Err(ErrorCode::UnknownDaemon);
-    }
-    let now = Instant::now();
-    if let Some(info) = state.daemons.get_mut(&daemon) {
-        info.last_seen = now;
-    }
-    let mut tasks = 0;
-    for entry in &mut state.entries {
-        if matches!(entry.phase, Phase::Assigned { daemon: d } if d == daemon) {
-            entry.deadline = Some(now + lease);
-            tasks += 1;
-        }
-    }
-    Ok(tasks)
-}
-
-fn history_tail(entry: &Entry, from_seq: u64) -> Vec<(u64, JobState)> {
-    let start = usize::try_from(from_seq).unwrap_or(usize::MAX);
-    entry
-        .history
-        .iter()
-        .enumerate()
-        .skip(start)
-        .map(|(i, &s)| (i as u64, s))
-        .collect()
-}
-
-fn job_index(state: &State, job: u64) -> Option<usize> {
-    let index = usize::try_from(job.checked_sub(1)?).ok()?;
-    (index < state.entries.len()).then_some(index)
 }
 
 fn resolve_core(preset: &str) -> Result<CoreConfig, SubmitError> {
@@ -853,12 +942,53 @@ fn resolve_core(preset: &str) -> Result<CoreConfig, SubmitError> {
     }
 }
 
-/// The fleet lease reaper: requeues assignments whose lease expired with
-/// no contact from the holding daemon, and drops registrations that have
-/// been silent for [`DEREGISTER_LEASES`] leases.
+/// A local agent (daemon 0): claims like [`Coordinator::poll_job`] but
+/// sleeps on the coordinator's condvar, runs the assignment with the
+/// injected runner, and settles like [`Coordinator::push_result`]. Exits
+/// once a drain leaves nothing to claim. A thread that dies mid-job (a
+/// panic escaping attempt isolation) stops ticking its heartbeat, so the
+/// reaper hands its job to a surviving agent.
+fn local_worker_loop<R: Runner>(inner: &Arc<Inner>, worker: u32, runner: &R) {
+    loop {
+        let (index, epoch, beacon, spec) = {
+            let mut state = inner.lock();
+            let index = loop {
+                if let Some(index) = state.claim() {
+                    break index;
+                }
+                if state.draining {
+                    return;
+                }
+                state = inner.changed.wait(state).expect("coordinator lock");
+            };
+            let (epoch, beacon) = state.assign(index, 0, worker, inner.lease);
+            (index, epoch, beacon, state.entries[index].spec.clone())
+        };
+        inner.changed.notify_all();
+        // Delta flushes are fenced by the assignment epoch: a straggler the
+        // reaper already declared dead must not pollute the fresh
+        // assignment's live slot (its result is discarded by `settle`).
+        let sink = {
+            let inner = Arc::clone(inner);
+            DeltaSink::new(move |event| {
+                if inner.lock().entries[index].epoch == epoch {
+                    inner.live.ingest(&event);
+                }
+            })
+        };
+        let task = index as u64 + 1;
+        let outcome = run_assignment(&spec, worker as usize, task, runner, &beacon, &sink);
+        inner.lock().settle(0, index, epoch, outcome);
+        inner.changed.notify_all();
+    }
+}
+
+/// The lease reaper: extends leases whose heartbeat advanced, requeues
+/// assignments that stayed silent past their deadline under a bumped
+/// epoch, and drops registrations silent for [`DEREGISTER_LEASES`] leases.
 fn reaper_loop(inner: &Inner) {
     let interval = (inner.lease / 4).clamp(Duration::from_millis(5), Duration::from_secs(1));
-    let mut state = inner.state.lock().expect("fleet lock");
+    let mut state = inner.lock();
     loop {
         if state.shutdown && state.assigned_count() == 0 {
             return;
@@ -866,73 +996,61 @@ fn reaper_loop(inner: &Inner) {
         let now = Instant::now();
         let mut requeued_any = false;
         for index in 0..state.entries.len() {
-            let entry = &mut state.entries[index];
-            if !matches!(entry.phase, Phase::Assigned { .. }) {
-                continue;
-            }
-            let Some(deadline) = entry.deadline else {
+            let Some(lease) = state.entries[index].lease.as_mut() else {
                 continue;
             };
-            if now < deadline {
-                continue;
+            let beats = lease.beacon.beats();
+            if beats > lease.beats_seen {
+                lease.beats_seen = beats;
+                lease.deadline = now + inner.lease;
+            } else if now >= lease.deadline {
+                state.expire(index);
+                state.requeued.push_back(index);
+                state.reassigned += 1;
+                requeued_any = true;
             }
-            // Lease expired: the daemon is silent or dead. Requeue under a
-            // bumped epoch; whatever the daemon eventually pushes for the
-            // old epoch is discarded.
-            entry.epoch += 1;
-            entry.phase = Phase::Queued { skip: false };
-            entry.deadline = None;
-            entry.history.push(JobState::Queued { ahead: 0 });
-            state.requeued.push_back(index);
-            state.reassigned += 1;
-            requeued_any = true;
         }
         let cutoff = inner.lease * DEREGISTER_LEASES;
         let mut reaped_untold = false;
         state.daemons.retain(|_, info| {
             let keep = now.duration_since(info.last_seen) < cutoff;
-            if !keep && !info.told_draining {
-                // A daemon vanished without ever hearing the drain
-                // notice. If it is merely partitioned (not dead), it
-                // will re-register — a graceful drain must hold the
-                // listener open long enough to tell it.
-                reaped_untold = true;
-            }
+            // A daemon that vanished without hearing the drain notice may
+            // merely be partitioned; a graceful drain must hold the
+            // listener open long enough to tell it when it re-registers.
+            reaped_untold |= !keep && !info.told_draining;
             keep
         });
-        if reaped_untold {
-            state.reaped_untold = true;
-        }
+        state.reaped_untold |= reaped_untold;
         if requeued_any || reaped_untold {
             inner.changed.notify_all();
         }
         state = inner
             .changed
             .wait_timeout(state, interval)
-            .expect("fleet lock")
+            .expect("coordinator lock")
             .0;
     }
 }
 
-/// Work the fleet committer performs outside the lock.
+/// Work the committer performs outside the lock.
 enum CommitStep {
     Skip,
     Cancelled,
-    Outcome(Box<RemoteOutcome>),
+    Outcome(Box<RemoteOutcome>, u64),
     Exit,
 }
 
 fn committer_loop(inner: &Inner, mut ledger: Ledger) {
     loop {
         let (step, index) = {
-            let mut state = inner.state.lock().expect("fleet lock");
+            let mut state = inner.lock();
             loop {
                 let i = state.next_commit;
                 if i < state.entries.len() {
                     match state.entries[i].phase {
-                        Phase::Settled => {
+                        Phase::Settled { daemon } => {
                             let outcome = state.entries[i].outcome.take().expect("settled outcome");
-                            break (CommitStep::Outcome(Box::new(outcome)), i);
+                            break (CommitStep::Outcome(Box::new(outcome), daemon), i);
                         }
                         Phase::Cancelled => break (CommitStep::Cancelled, i),
                         Phase::Queued { skip: true } => break (CommitStep::Skip, i),
@@ -941,74 +1059,47 @@ fn committer_loop(inner: &Inner, mut ledger: Ledger) {
                 }
                 // Exit once nothing ahead can ever settle: shutdown was
                 // requested and no assignment is outstanding (a drain
-                // waits at most one lease for dead daemons' assignments
-                // to expire). Anything still unsettled stays unjournaled
-                // — a restarted coordinator re-dispatches it from the
-                // journal.
+                // waits at most one lease for dead agents' assignments to
+                // expire). Anything still unsettled stays unjournaled — a
+                // restarted daemon re-runs it from the journal.
                 if state.shutdown && state.assigned_count() == 0 {
                     break (CommitStep::Exit, i);
                 }
-                state = inner.changed.wait(state).expect("fleet lock");
+                state = inner.changed.wait(state).expect("coordinator lock");
             }
         };
-        match step {
+        let settled = match step {
             CommitStep::Exit => break,
+            CommitStep::Cancelled => None,
             CommitStep::Skip => {
+                // The resume journal already records this benchmark: count
+                // it like campaign's skip path so a converging failures.txt
+                // reports the same completed total.
                 ledger.note_skipped();
-                let mut state = inner.state.lock().expect("fleet lock");
-                state.entries[index].phase = Phase::Done {
-                    ok: true,
-                    attempts: 0,
-                };
-                state.entries[index].history.push(JobState::Done {
-                    ok: true,
-                    attempts: 0,
-                });
-                state.done += 1;
-                state.next_commit += 1;
-                drop(state);
-                inner.changed.notify_all();
+                Some((true, 0))
             }
-            CommitStep::Cancelled => {
-                let mut state = inner.state.lock().expect("fleet lock");
-                state.next_commit += 1;
-                drop(state);
-                inner.changed.notify_all();
-            }
-            CommitStep::Outcome(outcome) => {
+            CommitStep::Outcome(outcome, daemon) => {
                 let (name, metrics) = {
-                    let mut state = inner.state.lock().expect("fleet lock");
+                    let mut state = inner.lock();
                     let wall = Duration::from_secs_f64(outcome.wall_ms.max(0.0) / 1e3);
                     let queue_wait = state.entries[index].queue_wait;
                     state.busy += wall;
                     state.wait_sum += queue_wait;
                     state.settled += 1;
                     let e = &state.entries[index];
-                    // `Settled` already cleared the assignment; the last
-                    // Running history entry carries the daemon that ran it.
-                    let daemon = e
-                        .history
-                        .iter()
-                        .rev()
-                        .find_map(|s| match s {
-                            JobState::Running { worker } => Some(*worker),
-                            _ => None,
-                        })
-                        .unwrap_or(0);
                     let metrics = JobMetrics {
                         wall,
                         queue_wait,
                         worker: outcome.worker as usize,
                         assignments: e.assignments,
-                        daemon,
+                        daemon: daemon as u32,
                         cycles: outcome.cycles,
                         instructions: outcome.instructions,
                         ipc: outcome.ipc,
                     };
                     (e.name, metrics)
                 };
-                let ok = outcome.ok;
-                let attempts = outcome.attempts;
+                let (ok, attempts) = (outcome.ok, outcome.attempts);
                 ledger.commit_remote(
                     name,
                     ok,
@@ -1018,28 +1109,28 @@ fn committer_loop(inner: &Inner, mut ledger: Ledger) {
                     metrics,
                 );
                 inner.live.mark_settled(name, ok);
-                let mut state = inner.state.lock().expect("fleet lock");
-                state.entries[index].phase = Phase::Done { ok, attempts };
-                state.entries[index]
-                    .history
-                    .push(JobState::Done { ok, attempts });
-                state.done_names.insert(name.to_owned());
-                if ok {
-                    state.done += 1;
-                } else {
-                    state.failed += 1;
-                }
-                state.next_commit += 1;
-                drop(state);
-                inner.changed.notify_all();
+                Some((ok, attempts))
+            }
+        };
+        let mut state = inner.lock();
+        if let Some((ok, attempts)) = settled {
+            let entry = &mut state.entries[index];
+            entry.phase = Phase::Done { ok, attempts };
+            entry.history.push(JobState::Done { ok, attempts });
+            let name = entry.name;
+            state.done_names.insert(name.to_owned());
+            if ok {
+                state.done += 1;
+            } else {
+                state.failed += 1;
             }
         }
+        state.next_commit += 1;
+        drop(state);
+        inner.changed.notify_all();
     }
-    let workers: usize = {
-        let state = inner.state.lock().expect("fleet lock");
-        state.daemons.values().map(|d| d.workers as usize).sum()
-    };
-    ledger.finish(tip_bench::executor::ExecSummary {
+    let workers = inner.total_workers(&inner.lock());
+    ledger.finish(ExecSummary {
         workers: workers.max(1),
         wall: inner.started.elapsed(),
     });
@@ -1121,11 +1212,11 @@ impl Session {
 /// drains (clean exit) or stays unreachable past the give-up window.
 ///
 /// Worker threads poll for assignments, regenerate and run the benchmark
-/// locally through the exact [`run_job`] retry ladder a local campaign
-/// uses, render the result-file bytes on the spot, and push them back. One
-/// beacon thread heartbeats at a quarter of the coordinator's lease —
-/// process-level liveness, since a dead process takes every worker with
-/// it. Any thread refused with `UnknownDaemon` re-registers (the
+/// locally through the exact [`run_job_streaming`] retry ladder a local
+/// campaign uses, render the result-file bytes on the spot, and push them
+/// back. One beacon thread heartbeats at a quarter of the coordinator's
+/// lease — process-level liveness, since a dead process takes every worker
+/// with it. Any thread refused with `UnknownDaemon` re-registers (the
 /// coordinator restarted); in-flight results pushed under the old
 /// registration are discarded by the coordinator's epoch check, and the
 /// re-dispatched assignment re-runs them deterministically.
@@ -1159,7 +1250,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<(), ClientError> {
     for worker in 0..config.workers.max(1) {
         let session = Arc::clone(&session);
         workers_joined.push(thread::spawn(move || {
-            worker_loop(&session, worker, give_up)
+            remote_worker_loop(&session, worker, give_up)
         }));
     }
     let mut result = Ok(());
@@ -1231,7 +1322,7 @@ fn beacon_loop(session: &Session, give_up: Duration) {
 /// snappy, long enough not to hammer the coordinator.
 const POLL_PAUSE: Duration = Duration::from_millis(20);
 
-fn worker_loop(
+fn remote_worker_loop(
     session: &Arc<Session>,
     worker: usize,
     give_up: Duration,
@@ -1281,7 +1372,7 @@ fn worker_loop(
                 note(&session, &res);
             })
         };
-        let outcome = run_assignment(&spec, worker, task, &sink);
+        let outcome = run_assignment(&spec, worker, task, &SpecRunner, &Heartbeat::noop(), &sink);
         // Push until acked; a lost ack retries idempotently, a stale epoch
         // or unknown-task refusal just drops the result (the coordinator
         // reassigned it).
@@ -1309,10 +1400,18 @@ fn worker_loop(
     }
 }
 
-/// Runs one assignment exactly like a local campaign worker would and
-/// renders the result-file bytes the coordinator will persist verbatim.
-/// Delta flushes stream through `sink` while the run progresses.
-fn run_assignment(spec: &JobSpec, worker: usize, task: u64, sink: &DeltaSink) -> RemoteOutcome {
+/// Runs one assignment through the exact retry ladder a local campaign
+/// worker uses and renders the result-file bytes the committer persists
+/// verbatim. `beacon` ticks at attempt boundaries; delta flushes stream
+/// through `sink` while the run progresses.
+fn run_assignment<R: Runner>(
+    spec: &JobSpec,
+    worker: usize,
+    task: u64,
+    runner: &R,
+    beacon: &Heartbeat,
+    sink: &DeltaSink,
+) -> RemoteOutcome {
     let Some(&name) = BENCHMARK_NAMES.iter().find(|&&n| n == spec.bench) else {
         return refused_outcome(worker, &format!("unknown bench {:?}", spec.bench));
     };
@@ -1332,15 +1431,7 @@ fn run_assignment(spec: &JobSpec, worker: usize, task: u64, sink: &DeltaSink) ->
         pgo: spec.pgo,
     };
     let index = usize::try_from(task.saturating_sub(1)).unwrap_or(0);
-    let outcome = run_job_streaming(
-        index,
-        &job,
-        &SpecRunner,
-        Duration::ZERO,
-        worker,
-        &Heartbeat::live(),
-        sink,
-    );
+    let outcome = run_job_streaming(index, &job, runner, Duration::ZERO, worker, beacon, sink);
     let attempts = outcome.attempts;
     let metrics = outcome.metrics;
     #[allow(clippy::cast_possible_truncation)]
@@ -1421,7 +1512,14 @@ mod tests {
 
     fn outcome_for(c: &Coordinator, spec_: &JobSpec, task: u64) -> RemoteOutcome {
         let _ = c; // Coordinator-independent: the agent renders locally.
-        run_assignment(spec_, 0, task, &DeltaSink::noop())
+        run_assignment(
+            spec_,
+            0,
+            task,
+            &SpecRunner,
+            &Heartbeat::noop(),
+            &DeltaSink::noop(),
+        )
     }
 
     #[test]
@@ -1431,6 +1529,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let c = Coordinator::start(&CoordinatorConfig {
             out_dir: dir.clone(),
+            workers: 0,
             resume: false,
             lease: Duration::from_secs(30),
             live: None,
@@ -1491,6 +1590,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let c = Coordinator::start(&CoordinatorConfig {
             out_dir: dir.clone(),
+            workers: 0,
             resume: false,
             lease: Duration::from_millis(40),
             live: None,
@@ -1576,6 +1676,7 @@ mod tests {
         std::fs::write(dir.join("journal.txt"), "done mcf\n").expect("seed journal");
         let c = Coordinator::start(&CoordinatorConfig {
             out_dir: dir.clone(),
+            workers: 0,
             resume: true,
             lease: Duration::from_secs(30),
             live: None,
@@ -1637,6 +1738,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let c = Coordinator::start(&CoordinatorConfig {
             out_dir: dir.clone(),
+            workers: 0,
             resume: false,
             lease: Duration::from_secs(30),
             live: None,
@@ -1664,6 +1766,166 @@ mod tests {
         assert_eq!(c.accept_delta(bystander, &event(2)), Ok(false));
         assert_eq!(c.live().view().bench("mcf").map(|b| b.flushes), Some(1));
         c.shutdown(false);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what} timed out");
+            thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// The deterministic artifacts; `metrics.txt` is host timing.
+    fn artifacts(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("campaign dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.file_name().is_some_and(|n| n != "metrics.txt"))
+            .map(|p| (p.display().to_string(), std::fs::read(&p).expect("read")))
+            .map(|(p, bytes)| (p.rsplit('/').next().unwrap_or_default().to_owned(), bytes))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// One queue, two kinds of agent: a local worker and a registered
+    /// remote daemon drain it together, and the ledger cannot tell which
+    /// ran what — only `metrics.txt` attributes the jobs.
+    #[test]
+    fn local_and_remote_agents_drain_one_queue_to_identical_artifacts() {
+        use tip_bench::campaign::{run_campaign, CampaignConfig};
+        use tip_bench::executor::RunCtx;
+
+        let names = &BENCHMARK_NAMES[..4];
+        let tmp = std::env::temp_dir().join(format!("tip-fleet-mixed-{}", std::process::id()));
+        let (dir, reference) = (tmp.join("served"), tmp.join("local"));
+        let _ = std::fs::remove_dir_all(&tmp);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let benches = names.iter().map(|&n| benchmark(n, SuiteScale::Test));
+        let config = CampaignConfig {
+            profilers: vec![tip_core::ProfilerId::Tip],
+            out_dir: Some(reference.clone()),
+            ..CampaignConfig::default()
+        };
+        assert_eq!(
+            run_campaign(benches.collect(), &config, SpecRunner)
+                .completed
+                .len(),
+            4
+        );
+
+        // The local worker dawdles so the remote daemon surely wins claims.
+        let slow = |job: &Job, ctx: &RunCtx| {
+            thread::sleep(Duration::from_millis(150));
+            SpecRunner.run(job, ctx)
+        };
+        let c = Coordinator::start_with_runner(
+            &CoordinatorConfig {
+                workers: 1,
+                lease: Duration::from_secs(30),
+                ..CoordinatorConfig::new(dir.clone())
+            },
+            slow,
+        );
+        let (daemon, _) = c.register("remote", 1);
+        for &name in names {
+            c.submit(&spec(name)).expect("submit");
+        }
+        wait_until("local claim", || {
+            c.status(1) == Some(JobState::Running { worker: 0 })
+        });
+        let remote = {
+            let c = c.clone();
+            thread::spawn(move || loop {
+                match c.poll_job(daemon).expect("registered") {
+                    PollReply::Assignment { task, epoch, spec } => {
+                        let outcome = outcome_for(&c, &spec, task);
+                        assert!(c.push_result(daemon, task, epoch, outcome).expect("push"));
+                    }
+                    PollReply::NoWork { draining: true } => return,
+                    PollReply::NoWork { draining: false } => {
+                        thread::sleep(Duration::from_millis(5))
+                    }
+                }
+            })
+        };
+        wait_until("commit", || {
+            (1..=4).all(|job| matches!(c.status(job), Some(JobState::Done { ok: true, .. })))
+        });
+        c.shutdown(true);
+        remote.join().expect("remote agent");
+
+        let journal = std::fs::read_to_string(dir.join("journal.txt")).expect("journal");
+        let order: Vec<&str> = journal
+            .lines()
+            .filter_map(|l| l.strip_prefix("done "))
+            .collect();
+        assert_eq!(order, names, "journal in submission order");
+        assert_eq!(artifacts(&dir), artifacts(&reference));
+        let metrics = std::fs::read_to_string(dir.join("metrics.txt")).expect("metrics");
+        let daemons: Vec<&str> = metrics
+            .lines()
+            .filter_map(|l| l.split_whitespace().find_map(|t| t.strip_prefix("daemon=")))
+            .collect();
+        assert!(
+            daemons.contains(&"0"),
+            "a local worker ran a job: {daemons:?}"
+        );
+        assert!(
+            daemons
+                .iter()
+                .any(|d| d.parse::<u64>().is_ok_and(|d| d >= 1)),
+            "the remote daemon ran a job: {daemons:?}"
+        );
+        let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    /// A local worker the reaper declared dead streams nothing once its
+    /// job went to another worker. Both are daemon 0, so only the
+    /// assignment epoch can tell them apart: the straggler waits until the
+    /// fresh assignment has committed and then streams its own run, which
+    /// would reset the settled slot if it got through.
+    #[test]
+    fn reaped_local_straggler_streams_nothing_into_the_aggregate() {
+        use tip_bench::executor::RunCtx;
+
+        let dir = std::env::temp_dir().join(format!("tip-fleet-straggler-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let live = Arc::new(LiveAggregate::new());
+        let straggler = {
+            let (armed, live) = (Arc::new(AtomicBool::new(true)), Arc::clone(&live));
+            move |job: &Job, ctx: &RunCtx| {
+                if armed.swap(false, Ordering::SeqCst) {
+                    wait_until("fresh assignment", || {
+                        live.view().bench(job.bench.name).and_then(|b| b.settled) == Some(true)
+                    });
+                }
+                SpecRunner.run(job, ctx)
+            }
+        };
+        let c = Coordinator::start_with_runner(
+            &CoordinatorConfig {
+                workers: 2,
+                lease: Duration::from_secs(1),
+                live: Some(Arc::clone(&live)),
+                ..CoordinatorConfig::new(dir.clone())
+            },
+            straggler,
+        );
+        c.submit(&spec("mcf")).expect("submit");
+        wait_until("stale result", || c.stale_results() == 1);
+        assert_eq!(c.stats().reassigned, 1);
+        let view = live.view();
+        let slot = view.bench("mcf").expect("the fresh assignment streamed");
+        assert_eq!(
+            slot.settled,
+            Some(true),
+            "the straggler's stream was fenced off"
+        );
+        c.shutdown(true);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,37 +8,38 @@
 //! them out through `tip-bench`'s executor machinery, and streams results
 //! back to the `tipctl` client.
 //!
-//! Three modules, strictly layered:
+//! The modules, strictly layered:
 //!
 //! * [`proto`] — the `TIPW` wire protocol: versioned, length-prefixed,
 //!   CRC-32-framed messages sharing `tip-trace`'s framing primitives and
 //!   error vocabulary ([`tip_trace::TraceError`] classifies socket damage
 //!   exactly like trace-file damage).
-//! * [`engine`] — the job queue bridged into
-//!   [`tip_bench::run_job`]/[`tip_bench::ledger::Ledger`]: FIFO claiming,
-//!   a single ordered committer, graceful drain, journal-driven resume.
-//!   Same job sequence ⇒ byte-identical artifacts, local or remote,
-//!   including across a daemon kill-and-resume.
+//! * [`fleet`] — the one job state machine. A [`Coordinator`] owns a
+//!   single queue, a lease/epoch phase machine, a lease reaper, and one
+//!   in-order committer through [`tip_bench::ledger::Ledger`]. Two kinds
+//!   of agent drain that queue through the same claim and settle code:
+//!   the daemon's own worker threads (in-process, daemon 0) and remote
+//!   daemons that `Register`/`PollJob`/`PushResult` over the wire
+//!   ([`run_agent`], what `tipd --join` runs). Same job sequence ⇒
+//!   byte-identical artifacts whichever agent ran which job, including
+//!   across a kill-and-resume of any process.
 //! * [`server`]/[`client`] — `std::net` TCP + `std::thread` only: bounded
 //!   acceptor, thread-per-connection, per-connection timeouts, typed
 //!   `Busy`/`Overloaded` backpressure; the client retries with capped,
 //!   seeded-jitter backoff, resubmits idempotently, and resumes watch
-//!   streams across connection drops.
+//!   streams across connection drops. Every `tipd` answers fleet frames;
+//!   one with zero workers is a pure coordinator.
 //! * [`chaosnet`] — a seeded fault-injecting TCP proxy speaking
 //!   `tip-trace`'s [`tip_trace::fault::FaultPlan`] vocabulary at the wire:
 //!   drop/delay/corrupt/split chunks, mid-stream disconnect, half-close.
-//!   The harness that proves the other three layers' fault story — on the
+//!   The harness that proves the other layers' fault story — on the
 //!   client↔daemon hop and the coordinator↔daemon hop alike.
-//! * [`fleet`] — the coordinator that shards a campaign across N
-//!   registered daemons over TIPW v3 frames (register/beacon/poll/push)
-//!   and merges streamed results through one in-order committer, plus the
-//!   agent half that `tipd --join` runs. The engine's lease/epoch/resume
-//!   semantics, lifted from worker threads to whole daemons.
 //!
-//! Since TIPW v4 the service also *streams*: engine workers and fleet
-//! agents flush quantized [`tip_bench::live`] profile deltas
-//! (`PushDelta` frames) into a server-side [`tip_bench::LiveAggregate`],
-//! and `Query{TopN, ErrorTrajectory, CycleStack}` frames answer live
+//! Since TIPW v4 the service also *streams*: local and remote agents
+//! flush quantized [`tip_bench::live`] profile deltas (remote ones as
+//! `PushDelta` frames) into the coordinator's
+//! [`tip_bench::LiveAggregate`], fenced by the assignment they hold, and
+//! `Query{TopN, ErrorTrajectory, CycleStack}` frames answer live
 //! questions mid-campaign (`tipctl top --live`, `tipctl watch`).
 //! Streaming is pure observation — final artifacts stay byte-identical
 //! with it on or off, at any worker count or fleet fan-out.
@@ -48,7 +49,7 @@
 //! SIGKILLed daemon or fleet member, a partitioned coordinator↔daemon
 //! link, a shed submit — leaves the campaign artifacts byte-identical to
 //! an uninterrupted local run, and never runs a settled job twice
-//! (per-worker *and* per-daemon leases with epoch fencing, request-id
+//! (per-assignment leases with epoch fencing, request-id
 //! dedup for resubmission, journal-driven resume across restarts of
 //! daemon and coordinator alike).
 //!
@@ -60,16 +61,15 @@
 
 pub mod chaosnet;
 pub mod client;
-pub mod engine;
 pub mod fleet;
 pub mod proto;
 pub mod server;
 
 pub use chaosnet::{chaos_proxy, ChaosConfig, ChaosHandle, ChaosStats, DirStats};
 pub use client::{Client, ClientError};
-pub use engine::{Engine, EngineConfig, SubmitError, DEFAULT_LEASE};
 pub use fleet::{
-    run_agent, AgentConfig, Coordinator, CoordinatorConfig, PollReply, DEFAULT_FLEET_LEASE,
+    run_agent, AgentConfig, Coordinator, CoordinatorConfig, PollReply, SubmitError,
+    DEFAULT_FLEET_LEASE, DEFAULT_LEASE,
 };
 pub use proto::{
     DeltaFrame, ErrorCode, JobSpec, JobState, QueryKind, QueryRow, RemoteOutcome, Request,

@@ -15,7 +15,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   "TIPW"
-//! 4       2     version (little-endian, currently 1)
+//! 4       2     version (little-endian, currently 5 = VERSION)
 //! 6       2     kind    (request/response discriminant)
 //! 8       4     payload length in bytes (1 ..= MAX_PAYLOAD)
 //! 12      4     CRC-32 over bytes 0..12 ++ payload
@@ -43,7 +43,8 @@
 //! *new* kinds, and the only change to an existing payload is appending the
 //! `daemons`/`stale` counters to `Stats`. A v3 decoder accepts v1/v2 frames
 //! by defaulting the absent tail fields to zero ([`read_frame`] accepts any
-//! version in [`MIN_VERSION`]`..=`[`VERSION`]); encoders always emit v3.
+//! version in [`MIN_VERSION`]`..=`[`VERSION`]). Encoders always emit the
+//! current [`VERSION`] (5, below), never an older one.
 //!
 //! Version 4 (streaming aggregation) keeps the same discipline once more:
 //! [`Request::PushDelta`] carries a [`DeltaFrame`] of quantized profile
@@ -79,8 +80,9 @@ use tip_workloads::SuiteScale;
 pub const MAGIC: [u8; 4] = *b"TIPW";
 /// Protocol version this build emits.
 pub const VERSION: u16 = 5;
-/// Oldest protocol version this build still decodes (v2/v3 only append
-/// fields, so older frames decode with the tail fields defaulted).
+/// Oldest protocol version this build still decodes (v2 through v5 only
+/// append fields and frame kinds, so older frames decode with the tail
+/// fields defaulted).
 pub const MIN_VERSION: u16 = 1;
 /// Frame header length: magic + version + kind + payload length + CRC.
 pub const FRAME_HEADER_LEN: usize = 16;

@@ -3,15 +3,15 @@
 //! graceful drain.
 //!
 //! Layering: this module owns sockets and nothing else. Every decision
-//! about jobs — queueing, claiming, committing, resume — lives in
-//! [`crate::engine`]; every byte on the wire is framed by
+//! about jobs — queueing, claiming, committing, resume, fleet leases —
+//! lives in the [`Coordinator`]; every byte on the wire is framed by
 //! [`crate::proto`]. A connection handler is a loop of
 //! `read_request → dispatch → write_response`, where `Watch` is the one
 //! request that streams multiple frames back.
 //!
 //! Shutdown is wire-driven (a [`Request::Shutdown`] frame) or in-process
 //! ([`ServerHandle::shutdown`]): the acceptor stops, handlers finish their
-//! in-flight request within one I/O timeout, and the engine drains —
+//! in-flight request within one I/O timeout, and the coordinator drains —
 //! in-flight jobs settle and commit, queued jobs stay unjournaled for a
 //! restarted daemon to resume.
 
@@ -24,11 +24,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::engine::{Engine, EngineConfig, SubmitError, DEFAULT_LEASE};
-use crate::fleet::{Coordinator, CoordinatorConfig, PollReply};
+use crate::fleet::{Coordinator, CoordinatorConfig, PollReply, SubmitError, DEFAULT_LEASE};
 use crate::proto::{
-    read_request, write_response, ErrorCode, JobSpec, JobState, QueryKind, QueryRow, Request,
-    Response, ServerStats,
+    read_request, write_response, ErrorCode, JobState, QueryKind, QueryRow, Request, Response,
+    ServerStats,
 };
 use tip_bench::live::LiveAggregate;
 use tip_core::{CycleCategory, ProfilerId};
@@ -43,9 +42,11 @@ const DEFAULT_TOP_N: usize = 10;
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:0` picks a free port).
     pub listen: String,
-    /// Worker threads for the job engine.
+    /// In-process worker agents. 0 makes a pure coordinator: jobs run
+    /// only on fleet daemons that `Register` over the wire (any `tipd`
+    /// accepts them, whatever its worker count).
     pub workers: usize,
-    /// Campaign directory for the engine's ledger.
+    /// Campaign directory for the coordinator's ledger.
     pub out_dir: PathBuf,
     /// Resume the directory's journal instead of starting fresh.
     pub resume: bool,
@@ -61,9 +62,12 @@ pub struct ServerConfig {
     /// slow-loris consumer of a `Watch` stream) is disconnected once a
     /// single frame write blocks this long, freeing the handler thread.
     pub write_timeout: Duration,
-    /// Job lease for the engine's reaper (see [`EngineConfig::lease`]).
+    /// Assignment lease for the coordinator's reaper (see
+    /// [`CoordinatorConfig::lease`]). `tipd --coordinator` defaults it to
+    /// [`crate::fleet::DEFAULT_FLEET_LEASE`]: remote daemons beacon from a
+    /// dedicated thread, so the lease only has to outlive network jitter.
     pub lease: Duration,
-    /// Load-shedding watermark: while the engine's queue depth is at or
+    /// Load-shedding watermark: while the queue depth is at or
     /// past this, `Submit` is refused with a typed
     /// [`Response::Overloaded`] (Status/Result/Watch still serve).
     pub shed_watermark: usize,
@@ -74,13 +78,6 @@ pub struct ServerConfig {
     /// handler sleeps out the window, so one hot client cannot starve the
     /// rest of the pool.
     pub max_frames_per_sec: u32,
-    /// Run as a fleet coordinator instead of a local job engine: no local
-    /// workers; jobs are sharded across daemons that `Register` over the
-    /// wire, and `lease` governs *daemon* liveness (default
-    /// [`crate::fleet::DEFAULT_FLEET_LEASE`] rather than [`DEFAULT_LEASE`] — a
-    /// coordinator's daemons beacon from a dedicated thread, so the lease
-    /// only has to outlive network jitter).
-    pub coordinator: bool,
 }
 
 impl ServerConfig {
@@ -100,122 +97,21 @@ impl ServerConfig {
             shed_watermark: 256,
             retry_after_ms: 500,
             max_frames_per_sec: 200,
-            coordinator: false,
-        }
-    }
-}
-
-/// What the server serves requests from: a local job engine (a plain
-/// `tipd`) or a fleet coordinator (`tipd --coordinator`). Both run the
-/// same queue/commit/resume semantics; only where the simulation happens
-/// differs.
-pub enum Backend {
-    /// Jobs run on this host's worker threads.
-    Local(Engine),
-    /// Jobs are sharded across registered fleet daemons.
-    Fleet(Coordinator),
-}
-
-impl Backend {
-    fn submit_deduped(&self, spec: &JobSpec, req_id: u64) -> Result<u64, SubmitError> {
-        match self {
-            Backend::Local(e) => e.submit_deduped(spec, req_id),
-            Backend::Fleet(c) => c.submit_deduped(spec, req_id),
-        }
-    }
-
-    fn status(&self, job: u64) -> Option<JobState> {
-        match self {
-            Backend::Local(e) => e.status(job),
-            Backend::Fleet(c) => c.status(job),
-        }
-    }
-
-    fn wait_history(
-        &self,
-        job: u64,
-        from_seq: u64,
-        timeout: Duration,
-    ) -> Option<Vec<(u64, JobState)>> {
-        match self {
-            Backend::Local(e) => e.wait_history(job, from_seq, timeout),
-            Backend::Fleet(c) => c.wait_history(job, from_seq, timeout),
-        }
-    }
-
-    fn result(&self, job: u64) -> Result<String, String> {
-        match self {
-            Backend::Local(e) => e.result(job),
-            Backend::Fleet(c) => c.result(job),
-        }
-    }
-
-    fn cancel(&self, job: u64) -> bool {
-        match self {
-            Backend::Local(e) => e.cancel(job),
-            Backend::Fleet(c) => c.cancel(job),
-        }
-    }
-
-    /// Counters for the stats endpoint (`connections`/`shed` filled by the
-    /// server layer).
-    pub fn stats(&self) -> ServerStats {
-        match self {
-            Backend::Local(e) => e.stats(),
-            Backend::Fleet(c) => c.stats(),
-        }
-    }
-
-    fn queue_depth(&self) -> usize {
-        match self {
-            Backend::Local(e) => e.queue_depth(),
-            Backend::Fleet(c) => c.queue_depth(),
-        }
-    }
-
-    fn drain(&self) {
-        match self {
-            Backend::Local(e) => e.drain(),
-            Backend::Fleet(c) => c.drain(),
-        }
-    }
-
-    fn bench_of(&self, job: u64) -> Option<String> {
-        match self {
-            Backend::Local(e) => e.bench_of(job),
-            Backend::Fleet(c) => c.bench_of(job),
-        }
-    }
-
-    fn symbol_names(&self, bench: &str, g: Granularity, syms: &[u32]) -> Option<Vec<String>> {
-        match self {
-            Backend::Local(e) => e.symbol_names(bench, g, syms),
-            Backend::Fleet(c) => c.symbol_names(bench, g, syms),
-        }
-    }
-
-    fn shutdown(&self, drain: bool) {
-        match self {
-            // The engine always finishes in-flight local jobs (workers are
-            // threads of this process; abandoning them buys nothing).
-            Backend::Local(e) => e.shutdown(),
-            Backend::Fleet(c) => c.shutdown(drain),
         }
     }
 }
 
 struct Shared {
-    backend: Backend,
-    /// The streaming aggregate every `PushDelta` lands in and every `Query`
-    /// reads from — shared with the backend, which feeds it from its own
-    /// workers (engine) or committer (coordinator).
+    coordinator: Coordinator,
+    /// The streaming aggregate every `Query` reads from — shared with the
+    /// coordinator, which feeds it from local and remote agents.
     live: Arc<LiveAggregate>,
     /// Symbol-name cache for `Query{TopN}` labels, keyed by benchmark: the
     /// coordinator regenerates the workload program per lookup, so labels
     /// are resolved once and reused.
     labels: Mutex<HashMap<String, Vec<String>>>,
     shutdown: AtomicBool,
-    /// Whether the requested shutdown drains in-flight fleet assignments
+    /// Whether the requested shutdown drains in-flight remote assignments
     /// (wire `Shutdown{drain:false}` force-expires them instead).
     drain_on_shutdown: AtomicBool,
     active_conns: AtomicUsize,
@@ -238,7 +134,7 @@ pub struct ServerHandle {
     handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
 }
 
-/// Binds, starts the engine, and spawns the acceptor.
+/// Binds, starts the coordinator, and spawns the acceptor.
 ///
 /// # Errors
 ///
@@ -247,8 +143,8 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
     serve_with_runner(config, tip_bench::executor::SpecRunner)
 }
 
-/// [`serve`] with a caller-chosen runner — the chaos tests inject slow or
-/// faulty runners behind a real socket exactly as the engine tests do.
+/// [`serve`] with a caller-chosen runner for the local workers — the chaos
+/// tests inject slow or faulty runners behind a real socket.
 ///
 /// # Errors
 ///
@@ -260,27 +156,18 @@ where
     let listener = TcpListener::bind(&config.listen)?;
     let addr = listener.local_addr()?;
     let live = Arc::new(LiveAggregate::new());
-    let backend = if config.coordinator {
-        Backend::Fleet(Coordinator::start(&CoordinatorConfig {
+    let coordinator = Coordinator::start_with_runner(
+        &CoordinatorConfig {
             out_dir: config.out_dir.clone(),
+            workers: config.workers,
             resume: config.resume,
             lease: config.lease,
             live: Some(Arc::clone(&live)),
-        }))
-    } else {
-        Backend::Local(Engine::start_with_runner(
-            &EngineConfig {
-                out_dir: config.out_dir.clone(),
-                workers: config.workers,
-                resume: config.resume,
-                lease: config.lease,
-                live: Some(Arc::clone(&live)),
-            },
-            runner,
-        ))
-    };
+        },
+        runner,
+    );
     let shared = Arc::new(Shared {
-        backend,
+        coordinator,
         live,
         labels: Mutex::new(HashMap::new()),
         shutdown: AtomicBool::new(false),
@@ -315,25 +202,11 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The engine, for in-process inspection (tests, the daemon's exit
-    /// report).
-    ///
-    /// # Panics
-    ///
-    /// On a coordinator server, which has no local engine — use
-    /// [`ServerHandle::backend`].
+    /// The coordinator, for in-process inspection (tests, the daemon's
+    /// exit report).
     #[must_use]
-    pub fn engine(&self) -> &Engine {
-        match &self.shared.backend {
-            Backend::Local(e) => e,
-            Backend::Fleet(_) => panic!("coordinator server has no local engine"),
-        }
-    }
-
-    /// The backend (engine or coordinator), for in-process inspection.
-    #[must_use]
-    pub fn backend(&self) -> &Backend {
-        &self.shared.backend
+    pub fn coordinator(&self) -> &Coordinator {
+        &self.shared.coordinator
     }
 
     /// Whether a shutdown (wire or in-process) has been requested.
@@ -367,7 +240,7 @@ impl ServerHandle {
             let _ = h.join();
         }
         let drain = self.shared.drain_on_shutdown.load(Ordering::SeqCst);
-        self.shared.backend.shutdown(drain);
+        self.shared.coordinator.shutdown(drain);
     }
 }
 
@@ -375,7 +248,7 @@ impl ServerHandle {
 /// throwaway self-connection.
 fn request_shutdown(shared: &Shared, addr: SocketAddr) {
     shared.shutdown.store(true, Ordering::SeqCst);
-    shared.backend.drain();
+    shared.coordinator.drain();
     let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
 }
 
@@ -490,22 +363,22 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 /// Serves one request; returns `true` when the connection must close
 /// (shutdown acknowledged).
 fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
-    let engine = &shared.backend;
+    let c = &shared.coordinator;
     match req {
         Request::Submit { spec, req_id } => {
             // Load shedding: past the watermark, refuse new work with a
             // typed pause hint while Status/Result/Watch keep serving —
             // degradation, not collapse. (An idempotent resubmit of an
             // already-queued job still dedups below the watermark later.)
-            if engine.queue_depth() >= shared.shed_watermark {
+            if c.queue_depth() >= shared.shed_watermark {
                 shared.shed.fetch_add(1, Ordering::Relaxed);
                 let resp = Response::Overloaded {
                     retry_after_ms: shared.retry_after_ms,
-                    queued: engine.queue_depth() as u32,
+                    queued: c.queue_depth() as u32,
                 };
                 return write_response(stream, &resp).is_err();
             }
-            let resp = match engine.submit_deduped(&spec, req_id) {
+            let resp = match c.submit_deduped(&spec, req_id) {
                 Ok(job) => Response::Submitted { job },
                 Err(SubmitError::UnknownBench(b)) => Response::Error {
                     code: ErrorCode::UnknownBench,
@@ -523,7 +396,7 @@ fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
             write_response(stream, &resp).is_err()
         }
         Request::Status { job } => {
-            let resp = match engine.status(job) {
+            let resp = match c.status(job) {
                 Some(state) => Response::Status { job, state },
                 None => unknown_job(job),
             };
@@ -531,7 +404,7 @@ fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
         }
         Request::Watch { job, from_seq } => watch(stream, shared, job, from_seq),
         Request::Result { job } => {
-            let resp = match engine.result(job) {
+            let resp = match c.result(job) {
                 Ok(body) => Response::ResultBody { job, body },
                 Err(message) => Response::Error {
                     code: if message.starts_with("unknown job") {
@@ -545,11 +418,11 @@ fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
             write_response(stream, &resp).is_err()
         }
         Request::Cancel { job } => {
-            let ok = engine.cancel(job);
+            let ok = c.cancel(job);
             write_response(stream, &Response::Cancelled { job, ok }).is_err()
         }
         Request::Stats => {
-            let mut stats: ServerStats = engine.stats();
+            let mut stats: ServerStats = c.stats();
             stats.connections = shared.active_conns.load(Ordering::SeqCst) as u32;
             stats.shed = shared.shed.load(Ordering::Relaxed);
             let view = shared.live.view();
@@ -563,50 +436,36 @@ fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
             let addr = stream
                 .local_addr()
                 .unwrap_or_else(|_| SocketAddr::from(([127, 0, 0, 1], 0)));
-            // A draining coordinator keeps the listener up until every
-            // registered agent has polled a `NoWork{draining}` (or
+            // A draining server keeps the listener up until every
+            // registered remote agent has polled a `NoWork{draining}` (or
             // lapsed): agents dial per request, so closing the listener
             // first would strand them spinning out their give-up window.
             // Only this handler thread blocks; polls keep being served.
             if drain {
-                if let Backend::Fleet(c) = &shared.backend {
-                    c.drain();
-                    c.wait_agents_released();
-                }
+                c.drain();
+                c.wait_agents_released();
             }
             request_shutdown(shared, addr);
             true
         }
         Request::Register { name, workers } => {
-            let resp = match fleet(engine) {
-                Err(resp) => *resp,
-                Ok(c) => {
-                    let (daemon, lease_ms) = c.register(&name, workers);
-                    Response::Registered { daemon, lease_ms }
-                }
-            };
-            write_response(stream, &resp).is_err()
+            let (daemon, lease_ms) = c.register(&name, workers);
+            write_response(stream, &Response::Registered { daemon, lease_ms }).is_err()
         }
         Request::Beacon { daemon } => {
-            let resp = match fleet(engine) {
-                Err(resp) => *resp,
-                Ok(c) => match c.beacon(daemon) {
-                    Ok(tasks) => Response::BeaconAck { tasks },
-                    Err(_) => unknown_daemon(daemon),
-                },
+            let resp = match c.beacon(daemon) {
+                Ok(tasks) => Response::BeaconAck { tasks },
+                Err(_) => unknown_daemon(daemon),
             };
             write_response(stream, &resp).is_err()
         }
         Request::PollJob { daemon } => {
-            let resp = match fleet(engine) {
-                Err(resp) => *resp,
-                Ok(c) => match c.poll_job(daemon) {
-                    Ok(PollReply::Assignment { task, epoch, spec }) => {
-                        Response::Assignment { task, epoch, spec }
-                    }
-                    Ok(PollReply::NoWork { draining }) => Response::NoWork { draining },
-                    Err(_) => unknown_daemon(daemon),
-                },
+            let resp = match c.poll_job(daemon) {
+                Ok(PollReply::Assignment { task, epoch, spec }) => {
+                    Response::Assignment { task, epoch, spec }
+                }
+                Ok(PollReply::NoWork { draining }) => Response::NoWork { draining },
+                Err(_) => unknown_daemon(daemon),
             };
             write_response(stream, &resp).is_err()
         }
@@ -616,32 +475,20 @@ fn dispatch(stream: &mut TcpStream, shared: &Shared, req: Request) -> bool {
             epoch,
             outcome,
         } => {
-            let resp = match fleet(engine) {
-                Err(resp) => *resp,
-                Ok(c) => match c.push_result(daemon, task, epoch, outcome) {
-                    Ok(accepted) => Response::ResultAck { accepted },
-                    Err(_) => unknown_daemon(daemon),
-                },
+            let resp = match c.push_result(daemon, task, epoch, outcome) {
+                Ok(accepted) => Response::ResultAck { accepted },
+                Err(_) => unknown_daemon(daemon),
             };
             write_response(stream, &resp).is_err()
         }
         Request::PushDelta { daemon, frame } => {
-            // daemon 0 is a local observer: its flushes go straight into
-            // the aggregate. A fleet daemon's flushes pass through the
-            // coordinator, which validates liveness and that the daemon
-            // still holds the benchmark's assignment — a resurrected
-            // daemon's stale stream must not pollute the fresh slot.
-            let resp = if daemon == 0 {
-                shared.live.ingest(&frame.into_event());
-                Response::DeltaAck { accepted: true }
-            } else {
-                match fleet(engine) {
-                    Err(resp) => *resp,
-                    Ok(c) => match c.accept_delta(daemon, &frame.into_event()) {
-                        Ok(accepted) => Response::DeltaAck { accepted },
-                        Err(_) => unknown_daemon(daemon),
-                    },
-                }
+            // Every flush passes the coordinator's fence: the daemon must be
+            // registered (daemon 0, the in-process pool, never is) and still
+            // hold the benchmark's assignment — a resurrected daemon's stale
+            // stream must not pollute the fresh slot.
+            let resp = match c.accept_delta(daemon, &frame.into_event()) {
+                Ok(accepted) => Response::DeltaAck { accepted },
+                Err(_) => unknown_daemon(daemon),
             };
             write_response(stream, &resp).is_err()
         }
@@ -733,9 +580,9 @@ fn answer_query(
     rows
 }
 
-/// Resolves symbol ids to display names via the backend, caching the full
-/// name table per benchmark. Unresolvable symbols (or a benchmark the
-/// backend no longer knows) fall back to `sym<N>` without caching, so a
+/// Resolves symbol ids to display names via the coordinator, caching the
+/// full name table per benchmark. Unresolvable symbols (or a benchmark the
+/// coordinator does not know) fall back to `sym<N>` without caching, so a
 /// later resolution can still land.
 fn symbol_labels(
     shared: &Shared,
@@ -748,7 +595,7 @@ fn symbol_labels(
     let mut cache = shared.labels.lock().expect("label cache");
     if !cache.contains_key(bench) {
         let all: Vec<u32> = (0..num_symbols).collect();
-        match shared.backend.symbol_names(bench, g, &all) {
+        match shared.coordinator.symbol_names(bench, g, &all) {
             Some(names) => {
                 cache.insert(bench.to_owned(), names);
             }
@@ -766,18 +613,6 @@ fn symbol_labels(
         .collect()
 }
 
-/// The coordinator behind a fleet request, or the typed refusal a plain
-/// daemon answers with (boxed: the Ok path is the hot one).
-fn fleet(backend: &Backend) -> Result<&Coordinator, Box<Response>> {
-    match backend {
-        Backend::Fleet(c) => Ok(c),
-        Backend::Local(_) => Err(Box::new(Response::Error {
-            code: ErrorCode::BadRequest,
-            message: "not a coordinator".to_owned(),
-        })),
-    }
-}
-
 fn unknown_daemon(daemon: u64) -> Response {
     Response::Error {
         code: ErrorCode::UnknownDaemon,
@@ -793,11 +628,11 @@ fn unknown_daemon(daemon: u64) -> Response {
 /// `Watch{from_seq: last_seen + 1}` and resumes without gaps or
 /// duplicates.
 fn watch(stream: &mut TcpStream, shared: &Shared, job: u64, from_seq: u64) -> bool {
-    let engine = &shared.backend;
-    let bench = engine.bench_of(job);
+    let c = &shared.coordinator;
+    let bench = c.bench_of(job);
     let mut next_seq = from_seq;
     loop {
-        let Some(batch) = engine.wait_history(job, next_seq, Duration::from_millis(200)) else {
+        let Some(batch) = c.wait_history(job, next_seq, Duration::from_millis(200)) else {
             return write_response(stream, &unknown_job(job)).is_err();
         };
         // Streamed simulated cycles for the job's benchmark, refreshed per

@@ -34,8 +34,8 @@ use tip_bench::campaign::{run_campaign, CampaignConfig};
 use tip_bench::executor::{Job, RunCtx, Runner, SpecRunner};
 use tip_core::ProfilerId;
 use tip_serve::{
-    chaos_proxy, serve, serve_with_runner, ChaosConfig, Client, Engine, EngineConfig, JobSpec,
-    JobState, ServerConfig,
+    chaos_proxy, serve, serve_with_runner, ChaosConfig, Client, Coordinator, CoordinatorConfig,
+    JobSpec, JobState, ServerConfig,
 };
 use tip_trace::fault::{Fault, FaultPlan};
 use tip_workloads::{benchmark, SuiteScale, BENCHMARK_NAMES};
@@ -144,7 +144,7 @@ fn assert_identical(dir: &Path, reference: &Path) {
     let _ = fs::remove_dir_all(reference);
 }
 
-fn wait_engine_done(engine: &Engine, job: u64) -> JobState {
+fn wait_engine_done(engine: &Coordinator, job: u64) -> JobState {
     let deadline = Instant::now() + DEADLINE;
     loop {
         let state = engine.status(job).expect("known job");
@@ -327,8 +327,8 @@ fn worker_panic_mid_job_is_reassigned() {
             SpecRunner.run(job, ctx)
         }
     };
-    let engine = Engine::start_with_runner(
-        &EngineConfig {
+    let engine = Coordinator::start_with_runner(
+        &CoordinatorConfig {
             out_dir: dir.clone(),
             workers: 2,
             resume: false,
@@ -360,7 +360,7 @@ fn worker_panic_mid_job_is_reassigned() {
     assert_eq!(stats.reassigned, 1, "exactly one lease expired");
     assert_eq!(engine.stale_results(), 0, "the dead worker never settled");
     // Shutdown terminates even though one worker thread is gone.
-    engine.shutdown();
+    engine.shutdown(true);
 
     let assignments = assignments_by_bench(&dir);
     assert_eq!(
@@ -392,8 +392,8 @@ fn lease_expiry_after_hang_discards_the_stale_result() {
             SpecRunner.run(job, ctx)
         }
     };
-    let engine = Engine::start_with_runner(
-        &EngineConfig {
+    let engine = Coordinator::start_with_runner(
+        &CoordinatorConfig {
             out_dir: dir.clone(),
             workers: 2,
             resume: false,
@@ -428,7 +428,7 @@ fn lease_expiry_after_hang_discards_the_stale_result() {
         thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(engine.stale_results(), 1);
-    engine.shutdown();
+    engine.shutdown(true);
 
     let assignments = assignments_by_bench(&dir);
     assert_eq!(

@@ -21,8 +21,8 @@ use tip_bench::executor::{Job, RunCtx, Runner, SpecRunner};
 use tip_core::{ProfileDelta, ProfilerId};
 use tip_isa::Granularity;
 use tip_serve::{
-    serve, serve_with_runner, Client, ClientError, Engine, EngineConfig, ErrorCode, JobSpec,
-    JobState, QueryKind, ServerConfig,
+    serve, serve_with_runner, Client, ClientError, Coordinator, CoordinatorConfig, DeltaFrame,
+    ErrorCode, JobSpec, JobState, QueryKind, ServerConfig,
 };
 use tip_workloads::{benchmark, SuiteScale, BENCHMARK_NAMES};
 
@@ -265,7 +265,7 @@ fn live_queries_answer_mid_campaign_and_converge_exactly() {
 
     // Settled: merged streamed units equal the local finished profiles
     // exactly, per profiler and Oracle.
-    let view = handle.engine().live().view();
+    let view = handle.coordinator().live().view();
     assert_eq!(view.benches.len(), LIVE_LEN);
     for c in &reference.completed {
         let name = c.run.bench.name;
@@ -390,6 +390,41 @@ fn wire_errors_are_typed() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Daemon 0 is the in-process worker pool, never a registered daemon: a
+/// wire `PushDelta` claiming it passes the same fence as any unknown
+/// daemon — refused with `UnknownDaemon`, live aggregate untouched — so no
+/// client can overwrite a running job's live slot.
+#[test]
+fn wire_push_delta_claiming_daemon_zero_is_refused() {
+    let dir = tmp_dir("delta0");
+    let handle = serve(&ServerConfig::new(dir.clone())).expect("bind");
+    let client = Client::new(&handle.addr().to_string());
+    let frame = DeltaFrame {
+        bench: BENCHMARK_NAMES[0].to_owned(),
+        attempt: 1,
+        seq: 1,
+        granularity: Granularity::Function,
+        num_symbols: 4,
+        per_profiler: vec![(ProfilerId::Tip, vec![(0, 840)])],
+        oracle: vec![(0, 840)],
+        stack: vec![0; tip_core::NUM_CATEGORIES],
+        cycles: 1_000,
+    };
+    assert!(matches!(
+        client.push_delta(0, &frame),
+        Err(ClientError::Server {
+            code: ErrorCode::UnknownDaemon,
+            ..
+        })
+    ));
+    let stats = client.stats().expect("stats");
+    assert_eq!((stats.deltas, stats.streamed), (0, 0));
+    let rows = client.query(QueryKind::TopN, "", None, 0).expect("query");
+    assert!(rows.is_empty(), "nothing reached the aggregate: {rows:?}");
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn over_limit_connections_get_typed_busy_then_recover() {
     let dir = tmp_dir("busy");
@@ -448,8 +483,8 @@ fn cancel_reaches_queued_jobs_only() {
         thread::sleep(Duration::from_millis(300));
         SpecRunner.run(job, ctx)
     };
-    let engine = Engine::start_with_runner(
-        &EngineConfig {
+    let engine = Coordinator::start_with_runner(
+        &CoordinatorConfig {
             out_dir: dir.clone(),
             workers: 1,
             resume: false,
@@ -492,7 +527,7 @@ fn cancel_reaches_queued_jobs_only() {
         Err(tip_serve::SubmitError::Draining)
     );
 
-    engine.shutdown();
+    engine.shutdown(true);
     // The cancelled job left no journal entry or result file.
     assert_eq!(done_lines(&dir), vec![BENCHMARK_NAMES[0].to_owned()]);
     assert!(!dir.join(format!("{}.result", BENCHMARK_NAMES[1])).exists());
@@ -506,7 +541,7 @@ fn cancel_reaches_queued_jobs_only() {
 /// benchmark committed by an identical daemon.
 #[test]
 fn pgo_jobs_commit_optimized_runs_through_the_ledger() {
-    fn settle(engine: &Engine, job: u64) {
+    fn settle(engine: &Coordinator, job: u64) {
         let deadline = Instant::now() + Duration::from_secs(300);
         loop {
             let state = engine.status(job).expect("known job");
@@ -531,19 +566,19 @@ fn pgo_jobs_commit_optimized_runs_through_the_ledger() {
     }
 
     let plain_dir = tmp_dir("pgo-plain");
-    let engine = Engine::start(&EngineConfig::new(plain_dir.clone()));
+    let engine = Coordinator::start(&CoordinatorConfig::new(plain_dir.clone()));
     let job = engine.submit(&spec_for("imagick")).expect("submit plain");
     settle(&engine, job);
-    engine.shutdown();
+    engine.shutdown(true);
     let plain_cycles = cycles_of(&plain_dir);
 
     let opt_dir = tmp_dir("pgo-opt");
-    let engine = Engine::start(&EngineConfig::new(opt_dir.clone()));
+    let engine = Coordinator::start(&CoordinatorConfig::new(opt_dir.clone()));
     let mut spec = spec_for("imagick");
     spec.pgo = true;
     let job = engine.submit(&spec).expect("submit pgo");
     settle(&engine, job);
-    engine.shutdown();
+    engine.shutdown(true);
     let pgo_cycles = cycles_of(&opt_dir);
 
     assert!(
