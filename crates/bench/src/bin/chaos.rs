@@ -24,9 +24,9 @@
 //! Exits non-zero if any resilience property is violated.
 
 use tip_bench::campaign::{run_campaign, CampaignCli, CampaignConfig};
-use tip_bench::checkpoint::{run_profiled_checkpointed, save_checkpoint, CheckpointSpec};
+use tip_bench::checkpoint::CheckpointSpec;
 use tip_bench::executor::{Job, RunCtx};
-use tip_bench::run::{run_profiled, RunError};
+use tip_bench::run::{run_profiled, run_profiled_sliced, RunError, MAX_CYCLES};
 use tip_bench::DEFAULT_INTERVAL;
 use tip_core::{ProfilerBank, ProfilerId, SamplerConfig};
 use tip_isa::Granularity;
@@ -243,16 +243,6 @@ fn campaign_isolation(scale: SuiteScale, jobs: usize) -> bool {
     ok
 }
 
-/// Forwards every record to both the trace writer and the profiler bank —
-/// the same shape the checkpointed runner uses internally.
-struct Tee<'a, A, B>(&'a mut A, &'a mut B);
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<'_, A, B> {
-    fn on_cycle(&mut self, r: &CycleRecord) {
-        self.0.on_cycle(r);
-        self.1.on_cycle(r);
-    }
-}
-
 /// Act 4: damaged `TIPS` snapshots vs the checkpointed runner.
 fn checkpoint_corruption(scale: SuiteScale) -> bool {
     println!("\n== checkpoint corruption ==");
@@ -277,49 +267,34 @@ fn checkpoint_corruption(scale: SuiteScale) -> bool {
         return false;
     }
 
-    // Hand-build an interrupted run: simulate 1 000 cycles, seal the trace,
-    // persist a real checkpoint, then walk away as if the process died.
+    // Build an interrupted run: checkpoint at cycle 1 000, then die on a
+    // 1 500-cycle budget as if the process had been killed.
     let spec = CheckpointSpec {
         snapshot_path: dir.join("exchange2.tips"),
         trace_path: dir.join("exchange2.trace"),
         every_cycles: 1_000,
         resume: true,
     };
-    let pristine = {
-        let mut core = Core::new(&b.program, CoreConfig::default(), seed);
-        let mut bank = ProfilerBank::new(&b.program, sampler, &profilers);
-        let file = match std::fs::File::create(&spec.trace_path) {
-            Ok(f) => f,
-            Err(e) => {
-                println!("    setup: FAIL — cannot create trace file: {e}");
-                return false;
-            }
-        };
-        let mut writer = TraceWriter::new(file);
-        {
-            let mut tee = Tee(&mut writer, &mut bank);
-            core.run(&mut tee, 1_000);
-        }
-        if let Err(e) = writer.flush() {
-            println!("    setup: FAIL — trace flush errored: {e}");
+    let ctx = RunCtx {
+        checkpoint: Some(spec.clone()),
+        ..RunCtx::new(seed)
+    };
+    let checkpointed = |max_cycles| {
+        let core = CoreConfig::default();
+        run_profiled_sliced(&b.program, core, sampler, &profilers, max_cycles, &ctx)
+    };
+    if let Ok(run) = checkpointed(1_500) {
+        println!(
+            "    setup: FAIL — {} cycles finished early",
+            run.summary.cycles
+        );
+        return false;
+    }
+    let pristine = match std::fs::read(&spec.snapshot_path) {
+        Ok(bytes) => bytes,
+        Err(e) => {
+            println!("    setup: FAIL — checkpoint read-back errored: {e}");
             return false;
-        }
-        if let Err(e) = save_checkpoint(
-            &spec.snapshot_path,
-            core.stats().cycles,
-            &core.snapshot(),
-            &bank.snapshot(),
-            writer.position(),
-        ) {
-            println!("    setup: FAIL — checkpoint save errored: {e}");
-            return false;
-        }
-        match std::fs::read(&spec.snapshot_path) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                println!("    setup: FAIL — checkpoint read-back errored: {e}");
-                return false;
-            }
         }
     };
     println!(
@@ -350,14 +325,7 @@ fn checkpoint_corruption(scale: SuiteScale) -> bool {
             ok = false;
             continue;
         }
-        match run_profiled_checkpointed(
-            &b.program,
-            CoreConfig::default(),
-            sampler,
-            &profilers,
-            seed,
-            &spec,
-        ) {
+        match checkpointed(MAX_CYCLES) {
             Err(RunError::Checkpoint { source, .. }) => {
                 println!("{name:>13}: rejected as expected ({source})");
             }
@@ -377,14 +345,7 @@ fn checkpoint_corruption(scale: SuiteScale) -> bool {
         }
         // The retry path: with the poison gone, the same invocation runs
         // from scratch and still matches the uninterrupted baseline.
-        match run_profiled_checkpointed(
-            &b.program,
-            CoreConfig::default(),
-            sampler,
-            &profilers,
-            seed,
-            &spec,
-        ) {
+        match checkpointed(MAX_CYCLES) {
             Ok(run) => {
                 let equiv = run.summary == plain.summary
                     && run.bank.samples_of(ProfilerId::Tip)
@@ -409,14 +370,7 @@ fn checkpoint_corruption(scale: SuiteScale) -> bool {
         println!("       intact: FAIL — cannot restore snapshot: {e}");
         ok = false;
     } else {
-        match run_profiled_checkpointed(
-            &b.program,
-            CoreConfig::default(),
-            sampler,
-            &profilers,
-            seed,
-            &spec,
-        ) {
+        match checkpointed(MAX_CYCLES) {
             Ok(run) => {
                 let equiv = run.summary == plain.summary
                     && run.bank.samples_of(ProfilerId::Tip)

@@ -263,7 +263,7 @@ where
         .live
         .as_ref()
         .map_or_else(DeltaSink::noop, LiveAggregate::sink);
-    let summary = executor::execute_streaming(&jobs, &runner, config.jobs, &sink, |out| {
+    let summary = executor::execute(&jobs, &runner, config.jobs, &sink, |out| {
         let job = &jobs[out.index];
         let name = job.bench.name;
         if let Some(live) = &config.live {

@@ -1,19 +1,21 @@
 //! Mid-run checkpointing: periodic `TIPS` snapshots and crash-safe resume.
 //!
-//! A checkpointed run simulates in slices of [`CheckpointSpec::every_cycles`]
-//! cycles. At each slice boundary it seals the trace file and atomically
-//! persists a `TIPS` container (see [`tip_trace::snapshot`]) holding the
-//! core's full mid-flight state, the profiler bank's accumulators, and the
-//! trace writer's resume position. If the process dies, re-running with
+//! A checkpointed run ([`crate::run::run_profiled_sliced`] with a
+//! [`CheckpointSpec`] in its context) simulates in slices of
+//! [`CheckpointSpec::every_cycles`] cycles. At each slice boundary it seals
+//! the trace file and atomically persists a `TIPS` container (see
+//! [`tip_trace::snapshot`]) holding the core's full mid-flight state, the
+//! profiler bank's accumulators, and the trace writer's resume position. If the process dies, re-running with
 //! [`CheckpointSpec::resume`] restores the last checkpoint, truncates the
 //! trace file back to its recorded frame boundary (discarding any torn
 //! tail), and continues — producing a commit trace and final profiles
 //! **bit-identical** to an uninterrupted run with the same seed.
 //!
 //! Damage to a checkpoint is never restored silently: a corrupt, truncated,
-//! or stale-version snapshot surfaces as [`RunError::Checkpoint`] with the
-//! classified [`TraceError`], and the poisoned file is removed so the
-//! campaign's bounded retry falls back to a from-scratch run.
+//! or stale-version snapshot surfaces as
+//! [`crate::run::RunError::Checkpoint`] with the classified [`TraceError`],
+//! and the poisoned file is removed so the campaign's bounded retry falls
+//! back to a from-scratch run.
 //!
 //! All files are written via temp-file + atomic rename, with the file and
 //! its directory fsynced, so a crash can never leave a half-written
@@ -23,10 +25,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::run::{ProfiledRun, RunError, StreamObserver, MAX_CYCLES};
 use tip_core::{ProfilerBank, ProfilerId, SamplerConfig};
-use tip_isa::{Granularity, Program};
-use tip_ooo::{Core, CoreConfig, CycleRecord, RunExit, SimError, TraceSink};
+use tip_isa::Program;
+use tip_ooo::{Core, CoreConfig};
 use tip_trace::{
     read_snapshot, write_snapshot, TraceError, TracePos, TraceWriter, SECTION_CORE,
     SECTION_PROFILERS, SECTION_TRACE_POS,
@@ -145,16 +146,6 @@ pub fn load_checkpoint(path: &Path) -> Result<LoadedCheckpoint, TraceError> {
     })
 }
 
-/// Forwards every record to both sinks (trace writer and profiler bank).
-struct Tee<'a, A, B>(&'a mut A, &'a mut B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<'_, A, B> {
-    fn on_cycle(&mut self, record: &CycleRecord) {
-        self.0.on_cycle(record);
-        self.1.on_cycle(record);
-    }
-}
-
 /// Opens the trace file for a resumed run: verifies it still covers the
 /// checkpointed prefix, truncates any torn tail past the last sealed chunk,
 /// and positions the cursor for appending.
@@ -173,194 +164,48 @@ fn reopen_trace(path: &Path, pos: TracePos) -> Result<File, TraceError> {
     Ok(file)
 }
 
-/// Builds the (core, bank, writer) triple, either fresh or from a snapshot.
+/// Builds the run's core, bank, and trace writer: restored from the
+/// snapshot when `spec` asks to resume and one exists, fresh from `seed`
+/// otherwise. Without a `spec` there is no trace writer.
 #[allow(clippy::type_complexity)]
-fn build_state<'p>(
+pub(crate) fn build_state<'p>(
     program: &'p Program,
     config: CoreConfig,
     sampler: SamplerConfig,
     profilers: &[ProfilerId],
     seed: u64,
-    spec: &CheckpointSpec,
-) -> Result<(Core<'p>, ProfilerBank, TraceWriter<File>), TraceError> {
-    if spec.resume && spec.snapshot_path.exists() {
+    spec: Option<&CheckpointSpec>,
+) -> Result<(Core<'p>, ProfilerBank, Option<TraceWriter<File>>), TraceError> {
+    if let Some(spec) = spec.filter(|s| s.resume && s.snapshot_path.exists()) {
         let ckpt = load_checkpoint(&spec.snapshot_path)?;
         let core = Core::restore(program, config, &ckpt.core)?;
         let bank = ProfilerBank::restore(program, sampler, &ckpt.bank)?;
         let file = reopen_trace(&spec.trace_path, ckpt.trace)?;
-        Ok((core, bank, TraceWriter::resume(file, ckpt.trace)))
-    } else {
-        if !spec.resume {
-            // A fresh run must not pick up a stale snapshot later.
-            let _ = fs::remove_file(&spec.snapshot_path);
-        }
-        if let Some(dir) = spec.trace_path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        let core = Core::new(program, config, seed);
-        let bank = ProfilerBank::new(program, sampler, profilers);
-        let file = File::create(&spec.trace_path)?;
-        Ok((core, bank, TraceWriter::new(file)))
+        return Ok((core, bank, Some(TraceWriter::resume(file, ckpt.trace))));
     }
-}
-
-/// Runs `program` under the profiler bank like [`crate::run::run_profiled`],
-/// but in checkpointed slices: the commit trace streams to
-/// [`CheckpointSpec::trace_path`] and a restorable snapshot lands at
-/// [`CheckpointSpec::snapshot_path`] every
-/// [`CheckpointSpec::every_cycles`] cycles. On success the snapshot is
-/// consumed (removed); the trace file remains as a run artifact.
-///
-/// # Errors
-///
-/// [`RunError::Sim`] for livelocks and exhausted cycle budgets (as in the
-/// plain runner), and [`RunError::Checkpoint`] when a snapshot cannot be
-/// written or an existing one fails to restore — the poisoned snapshot is
-/// removed first, so a retry starts from scratch instead of hitting the
-/// same damage again.
-pub fn run_profiled_checkpointed(
-    program: &Program,
-    config: CoreConfig,
-    sampler: SamplerConfig,
-    profilers: &[ProfilerId],
-    seed: u64,
-    spec: &CheckpointSpec,
-) -> Result<ProfiledRun, RunError> {
-    run_profiled_checkpointed_budgeted(program, config, sampler, profilers, seed, spec, MAX_CYCLES)
-}
-
-/// [`run_profiled_checkpointed`] with an explicit cycle budget instead of
-/// the harness default [`MAX_CYCLES`].
-///
-/// # Errors
-///
-/// As [`run_profiled_checkpointed`]; budget exhaustion surfaces as the
-/// dedicated [`tip_ooo::SimError::CycleLimit`] variant.
-pub fn run_profiled_checkpointed_budgeted(
-    program: &Program,
-    config: CoreConfig,
-    sampler: SamplerConfig,
-    profilers: &[ProfilerId],
-    seed: u64,
-    spec: &CheckpointSpec,
-    max_cycles: u64,
-) -> Result<ProfiledRun, RunError> {
-    run_profiled_checkpointed_streaming(
-        program, config, sampler, profilers, seed, spec, max_cycles, None,
-    )
-}
-
-/// [`run_profiled_checkpointed_budgeted`] with an optional streaming
-/// observer: profile deltas are flushed at every checkpoint boundary (the
-/// natural slice points a checkpointed run already has — the observer's
-/// [`StreamObserver::every_cycles`] is ignored here) and once at
-/// completion. Flushing happens **before** the bank snapshot is taken, and
-/// the bank's streaming state is deliberately not serialized, so checkpoint
-/// bytes and resume behaviour are identical with streaming on or off; after
-/// a restore the flush sequence restarts at 1 and the first flush
-/// re-reports the full cumulative units (aggregators reset on that signal).
-///
-/// # Errors
-///
-/// As [`run_profiled_checkpointed_budgeted`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_profiled_checkpointed_streaming(
-    program: &Program,
-    config: CoreConfig,
-    sampler: SamplerConfig,
-    profilers: &[ProfilerId],
-    seed: u64,
-    spec: &CheckpointSpec,
-    max_cycles: u64,
-    stream: Option<StreamObserver<'_>>,
-) -> Result<ProfiledRun, RunError> {
-    let bench = program.name().to_owned();
-    let map = stream
-        .as_ref()
-        .map(|_| program.symbol_map(Granularity::Function));
-    let ckpt_err = |bench: &str, source: TraceError| RunError::Checkpoint {
-        bench: bench.to_owned(),
-        source,
+    let trace = match spec {
+        None => None,
+        Some(spec) => {
+            if !spec.resume {
+                // A fresh run must not pick up a stale snapshot later.
+                let _ = fs::remove_file(&spec.snapshot_path);
+            }
+            if let Some(dir) = spec.trace_path.parent() {
+                fs::create_dir_all(dir)?;
+            }
+            Some(TraceWriter::new(File::create(&spec.trace_path)?))
+        }
     };
-
-    let (mut core, mut bank, mut writer) =
-        match build_state(program, config, sampler, profilers, seed, spec) {
-            Ok(state) => state,
-            Err(source) => {
-                // Classified rejection: drop the unusable snapshot so the
-                // campaign's reseeded retry runs from scratch.
-                let _ = fs::remove_file(&spec.snapshot_path);
-                return Err(ckpt_err(&bench, source));
-            }
-        };
-
-    let every = spec.every_cycles.max(1);
-    loop {
-        let next_stop = core.stats().cycles.saturating_add(every).min(max_cycles);
-        let summary = {
-            let mut tee = Tee(&mut writer, &mut bank);
-            core.run(&mut tee, next_stop)
-        };
-        if let (Some(observer), Some(map)) = (&stream, &map) {
-            // Before the snapshot below: the flush advances only the bank's
-            // unserialized streaming watermarks, so checkpoint bytes stay
-            // identical with streaming on or off.
-            (observer.observe)(bank.flush_deltas(map));
-        }
-        match summary.exit {
-            RunExit::Halted | RunExit::StreamEnd => {
-                writer
-                    .flush()
-                    .map_err(|e| ckpt_err(&bench, TraceError::Io(e)))?;
-                // The checkpoint is consumed; a completed run leaves none.
-                let _ = fs::remove_file(&spec.snapshot_path);
-                let stats = *core.stats();
-                let mem_stats = core.mem_stats();
-                return Ok(ProfiledRun {
-                    bank: bank.finish(),
-                    summary,
-                    stats,
-                    mem_stats,
-                });
-            }
-            RunExit::Stuck(diag) => {
-                return Err(RunError::Sim {
-                    bench,
-                    source: SimError::Livelock(diag),
-                });
-            }
-            RunExit::CycleLimit => {
-                if next_stop >= max_cycles {
-                    return Err(RunError::Sim {
-                        bench,
-                        source: SimError::CycleLimit {
-                            max_cycles,
-                            committed: summary.instructions,
-                        },
-                    });
-                }
-                // Slice boundary: seal the trace so its position is a valid
-                // resume point, then persist everything atomically.
-                writer
-                    .flush()
-                    .map_err(|e| ckpt_err(&bench, TraceError::Io(e)))?;
-                save_checkpoint(
-                    &spec.snapshot_path,
-                    summary.cycles,
-                    &core.snapshot(),
-                    &bank.snapshot(),
-                    writer.position(),
-                )
-                .map_err(|e| ckpt_err(&bench, TraceError::Io(e)))?;
-            }
-        }
-    }
+    let core = Core::new(program, config, seed);
+    let bank = ProfilerBank::new(program, sampler, profilers);
+    Ok((core, bank, trace))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tip_core::ProfilerId;
+    use crate::executor::RunCtx;
+    use crate::run::{run_profiled_sliced, ProfiledRun, RunError, MAX_CYCLES};
     use tip_trace::{Fault, FaultPlan, TraceReader};
     use tip_workloads::{benchmark, SuiteScale};
 
@@ -379,6 +224,28 @@ mod tests {
         }
     }
 
+    fn run_checkpointed(
+        program: &Program,
+        profilers: &[ProfilerId],
+        seed: u64,
+        spec: &CheckpointSpec,
+        max_cycles: u64,
+    ) -> Result<ProfiledRun, RunError> {
+        let ctx = RunCtx {
+            checkpoint: Some(spec.clone()),
+            ..RunCtx::new(seed)
+        };
+        let sampler = SamplerConfig::periodic(211);
+        run_profiled_sliced(
+            program,
+            CoreConfig::default(),
+            sampler,
+            profilers,
+            max_cycles,
+            &ctx,
+        )
+    }
+
     #[test]
     fn checkpointed_run_matches_the_plain_runner() {
         let b = benchmark("exchange2", SuiteScale::Test);
@@ -390,15 +257,8 @@ mod tests {
 
         let dir = tmp_dir("plain-eq");
         let spec = spec_in(&dir, 2_003, false);
-        let ckpt = run_profiled_checkpointed(
-            &b.program,
-            CoreConfig::default(),
-            sampler,
-            &profilers,
-            5,
-            &spec,
-        )
-        .expect("checkpointed run");
+        let ckpt = run_checkpointed(&b.program, &profilers, 5, &spec, MAX_CYCLES)
+            .expect("checkpointed run");
 
         assert_eq!(ckpt.summary, plain.summary);
         assert_eq!(ckpt.stats, plain.stats);
@@ -446,7 +306,6 @@ mod tests {
     #[test]
     fn damaged_checkpoints_are_classified_and_removed() {
         let b = benchmark("exchange2", SuiteScale::Test);
-        let sampler = SamplerConfig::periodic(211);
         let profilers = [ProfilerId::Tip];
 
         let plans = [
@@ -462,30 +321,11 @@ mod tests {
         ];
         for (tag, plan) in plans {
             let dir = tmp_dir(&format!("damage-{tag}"));
-            // Produce a real interrupted state, then damage the snapshot.
+            // Produce a real interrupted state (a budget past the first
+            // checkpoint), then damage the snapshot.
             let spec = spec_in(&dir, 1_000, false);
-            {
-                let (mut core, mut bank, mut writer) = build_state(
-                    &b.program,
-                    CoreConfig::default(),
-                    sampler,
-                    &profilers,
-                    9,
-                    &spec,
-                )
-                .expect("fresh state");
-                let mut tee = Tee(&mut writer, &mut bank);
-                core.run(&mut tee, 1_000);
-                writer.flush().expect("flush");
-                save_checkpoint(
-                    &spec.snapshot_path,
-                    1_000,
-                    &core.snapshot(),
-                    &bank.snapshot(),
-                    writer.position(),
-                )
-                .expect("save");
-            }
+            run_checkpointed(&b.program, &profilers, 9, &spec, 1_500)
+                .expect_err("1.5k cycles cannot finish the benchmark");
             let mut bytes = fs::read(&spec.snapshot_path).expect("read");
             plan.apply_snapshot(&mut bytes);
             fs::write(&spec.snapshot_path, &bytes).expect("write damage");
@@ -494,15 +334,8 @@ mod tests {
                 resume: true,
                 ..spec.clone()
             };
-            let err = run_profiled_checkpointed(
-                &b.program,
-                CoreConfig::default(),
-                sampler,
-                &profilers,
-                9,
-                &resume,
-            )
-            .expect_err("damaged snapshot must not restore");
+            let err = run_checkpointed(&b.program, &profilers, 9, &resume, MAX_CYCLES)
+                .expect_err("damaged snapshot must not restore");
             assert!(
                 matches!(err, RunError::Checkpoint { .. }),
                 "{tag}: got {err:?}"
@@ -513,15 +346,8 @@ mod tests {
             );
             // The retry path: with the poison gone, the same invocation
             // completes from scratch.
-            run_profiled_checkpointed(
-                &b.program,
-                CoreConfig::default(),
-                sampler,
-                &profilers,
-                9,
-                &resume,
-            )
-            .expect("from-scratch fallback");
+            run_checkpointed(&b.program, &profilers, 9, &resume, MAX_CYCLES)
+                .expect("from-scratch fallback");
             let _ = fs::remove_dir_all(&dir);
         }
     }

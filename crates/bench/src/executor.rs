@@ -31,13 +31,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::{run_profiled_checkpointed_streaming, CheckpointSpec};
-use crate::live::{DeltaEvent, DeltaSink};
-use crate::run::{
-    run_profiled_streaming, ProfiledRun, RunError, StreamObserver, DEFAULT_INTERVAL,
-    DEFAULT_STREAM_CYCLES, MAX_CYCLES,
-};
-use tip_core::{BankDeltas, ProfilerId, SamplerConfig};
+use crate::checkpoint::CheckpointSpec;
+use crate::live::DeltaSink;
+use crate::run::{run_profiled_sliced, ProfiledRun, RunError, DEFAULT_INTERVAL, MAX_CYCLES};
+use tip_core::{ProfilerId, SamplerConfig};
 use tip_ooo::CoreConfig;
 use tip_workloads::Benchmark;
 
@@ -98,11 +95,13 @@ impl Job {
 /// The lease machinery in `tip-serve` grants each claimed job a deadline;
 /// a reaper that sees the beacon still ticking extends the lease instead of
 /// declaring the worker dead. [`run_job`] ticks once per attempt, so even a
-/// non-cooperating runner beats at attempt granularity; a cooperating
-/// runner (a chunked, checkpointing simulation) can tick mid-attempt via
-/// [`RunCtx::heartbeat`]. The default ([`Heartbeat::noop`]) beacon is
-/// disconnected — ticks go nowhere and [`Heartbeat::beats`] stays 0 —
-/// so the serial campaign path pays nothing for the plumbing.
+/// non-cooperating runner beats at attempt granularity; [`SpecRunner`]
+/// hands [`RunCtx::heartbeat`] to the slice loop
+/// ([`crate::run::run_profiled_sliced`]), which ticks at every slice
+/// boundary — a beat means the simulation advanced. The default
+/// ([`Heartbeat::noop`]) beacon is disconnected — ticks go nowhere and
+/// [`Heartbeat::beats`] stays 0 — so the serial campaign path pays nothing
+/// for the plumbing.
 #[derive(Clone, Debug, Default)]
 pub struct Heartbeat {
     beats: Option<Arc<AtomicU64>>,
@@ -146,13 +145,27 @@ pub struct RunCtx {
     pub attempt: u32,
     /// Checkpointing paths and period, when enabled.
     pub checkpoint: Option<CheckpointSpec>,
-    /// The worker's liveness beacon; long-running cooperative runners tick
-    /// it to keep their lease alive (see `tip-serve`'s reaper).
+    /// The worker's liveness beacon, ticked at every slice boundary to keep
+    /// the lease alive (see `tip-serve`'s reaper).
     pub heartbeat: Heartbeat,
     /// Where streaming profile deltas go. Disconnected by default
-    /// ([`DeltaSink::noop`]) — the runner then skips flushing entirely, so
-    /// non-streaming paths are bit-for-bit the code they always were.
+    /// ([`DeltaSink::noop`]) — the runner then skips flushing entirely.
     pub delta_sink: DeltaSink,
+}
+
+impl RunCtx {
+    /// A first-attempt context for `seed`: no checkpointing, a
+    /// disconnected heartbeat and delta sink.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        RunCtx {
+            seed,
+            attempt: 1,
+            checkpoint: None,
+            heartbeat: Heartbeat::noop(),
+            delta_sink: DeltaSink::noop(),
+        }
+    }
 }
 
 /// Executes one attempt of a job.
@@ -181,62 +194,25 @@ where
     }
 }
 
-/// The production runner: executes exactly what the [`Job`] spec says —
-/// checkpointed when the context carries a [`CheckpointSpec`], plain
-/// otherwise.
+/// The production runner: executes exactly what the [`Job`] spec says
+/// through the slice loop ([`crate::run::run_profiled_sliced`]), which
+/// checkpoints, streams, and beats as the [`RunCtx`] asks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpecRunner;
 
 impl Runner for SpecRunner {
     fn run(&self, job: &Job, ctx: &RunCtx) -> Result<ProfiledRun, RunError> {
-        let bench = job.bench.name;
         if job.pgo {
-            // The pgo loop simulates twice (baseline + optimized) and its
-            // rewrite invalidates any mid-run snapshot, so pgo jobs neither
-            // checkpoint nor stream deltas.
-            return crate::pgo::pgo_run(
-                bench,
-                &job.bench.program,
-                job.core.clone(),
-                job.sampler,
-                &job.profilers,
-                ctx.seed,
-                job.max_cycles,
-            );
+            return crate::pgo::pgo_run(job, ctx);
         }
-        let (attempt, sink) = (ctx.attempt, &ctx.delta_sink);
-        let observe = move |deltas: BankDeltas| {
-            sink.emit(DeltaEvent {
-                bench: bench.to_owned(),
-                attempt,
-                deltas,
-            });
-        };
-        let stream = ctx.delta_sink.is_live().then_some(StreamObserver {
-            every_cycles: DEFAULT_STREAM_CYCLES,
-            observe: &observe,
-        });
-        match &ctx.checkpoint {
-            Some(spec) => run_profiled_checkpointed_streaming(
-                &job.bench.program,
-                job.core.clone(),
-                job.sampler,
-                &job.profilers,
-                ctx.seed,
-                spec,
-                job.max_cycles,
-                stream,
-            ),
-            None => run_profiled_streaming(
-                &job.bench.program,
-                job.core.clone(),
-                job.sampler,
-                &job.profilers,
-                ctx.seed,
-                job.max_cycles,
-                stream,
-            ),
-        }
+        run_profiled_sliced(
+            &job.bench.program,
+            job.core.clone(),
+            job.sampler,
+            &job.profilers,
+            job.max_cycles,
+            ctx,
+        )
     }
 }
 
@@ -314,24 +290,17 @@ pub fn default_workers() -> usize {
 /// caught per attempt and surfaces as [`RunError::Panicked`]; worker threads
 /// themselves never unwind.
 ///
+/// Every job's [`RunCtx`] carries `delta_sink`, so with a live sink mid-run
+/// profile deltas stream to a shared aggregate (see
+/// [`crate::live::LiveAggregate`]) while the committer still applies
+/// settled outcomes in canonical order. Deltas arrive in completion order —
+/// they are commutative increments, so the aggregate is order-independent —
+/// and the deterministic artifacts never see them.
+///
 /// `workers` is clamped to `1..=jobs.len()`; `workers == 1` runs inline on
 /// the calling thread with no queue at all, which is also the path that
 /// *defines* the byte-identical reference behaviour.
-pub fn execute<R, C>(jobs: &[Job], runner: &R, workers: usize, commit: C) -> ExecSummary
-where
-    R: Runner,
-    C: FnMut(JobOutcome),
-{
-    execute_streaming(jobs, runner, workers, &DeltaSink::noop(), commit)
-}
-
-/// [`execute`] with a live [`DeltaSink`]: every worker threads the sink
-/// into its jobs' [`RunCtx`], so mid-run profile deltas stream to a shared
-/// aggregate (see [`crate::live::LiveAggregate`]) *while* the committer
-/// still applies settled outcomes in canonical order. Deltas arrive in
-/// completion order — they are commutative increments, so the aggregate is
-/// order-independent — and the deterministic artifacts never see them.
-pub fn execute_streaming<R, C>(
+pub fn execute<R, C>(
     jobs: &[Job],
     runner: &R,
     workers: usize,
@@ -350,7 +319,7 @@ where
             // Inline path: the "queue" is the jobs ahead of this one, so the
             // wait is simply how long the call has been running when the job
             // is picked up.
-            commit(run_job_streaming(
+            commit(run_job(
                 index,
                 job,
                 runner,
@@ -384,8 +353,7 @@ where
                 // queue wait — the figure the server's stats endpoint and
                 // `ScalingReport` use to separate queueing from compute.
                 let wait = queued.elapsed();
-                let outcome =
-                    run_job_streaming(index, job, runner, wait, worker, beacon, delta_sink);
+                let outcome = run_job(index, job, runner, wait, worker, beacon, delta_sink);
                 if tx.send(outcome).is_err() {
                     break;
                 }
@@ -415,51 +383,17 @@ where
 /// Runs one job to settlement: bounded reseeded retries with per-attempt
 /// panic isolation. This is the exact retry ladder the serial campaign used,
 /// now shared by every worker — and public so external schedulers (the
-/// `tip-serve` daemon pulls jobs off a network queue) reuse the same
-/// semantics instead of reimplementing them.
+/// `tip-serve` coordinator's agents) reuse the same semantics instead of
+/// reimplementing them.
 ///
 /// `queue_wait` is how long the job sat queued before this call, and
 /// `worker` identifies the thread running it; both are host-side observations
-/// recorded into [`JobMetrics`] verbatim.
+/// recorded into [`JobMetrics`] verbatim. `heartbeat` ticks at every attempt
+/// boundary and rides in each attempt's [`RunCtx`] together with
+/// `delta_sink`, so the production [`SpecRunner`] beats and streams profile
+/// deltas per slice; pass [`Heartbeat::noop`] / [`DeltaSink::noop`] for
+/// neither. Streaming observes the run, it never changes the outcome.
 pub fn run_job<R: Runner>(
-    index: usize,
-    job: &Job,
-    runner: &R,
-    queue_wait: Duration,
-    worker: usize,
-) -> JobOutcome {
-    run_job_beating(index, job, runner, queue_wait, worker, &Heartbeat::noop())
-}
-
-/// [`run_job`] with a live [`Heartbeat`]: the beacon ticks at every attempt
-/// boundary (and cooperative runners may tick it mid-attempt through
-/// [`RunCtx::heartbeat`]), so a lease supervisor can tell a slow worker
-/// from a dead one.
-pub fn run_job_beating<R: Runner>(
-    index: usize,
-    job: &Job,
-    runner: &R,
-    queue_wait: Duration,
-    worker: usize,
-    heartbeat: &Heartbeat,
-) -> JobOutcome {
-    run_job_streaming(
-        index,
-        job,
-        runner,
-        queue_wait,
-        worker,
-        heartbeat,
-        &DeltaSink::noop(),
-    )
-}
-
-/// [`run_job_beating`] with a live [`DeltaSink`]: each attempt's context
-/// carries the sink, so a cooperating runner (the production [`SpecRunner`])
-/// streams profile deltas mid-run. The job's settled outcome is unaffected
-/// — streaming observes the run, it never changes it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_streaming<R: Runner>(
     index: usize,
     job: &Job,
     runner: &R,
@@ -567,6 +501,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::DEFAULT_STREAM_CYCLES;
     use std::sync::atomic::AtomicU32;
     use tip_workloads::{benchmark, SuiteScale};
 
@@ -586,7 +521,7 @@ mod tests {
             .collect();
         for workers in [1, 2, 4, 8] {
             let mut seen = Vec::new();
-            let summary = execute(&jobs, &SpecRunner, workers, |out| {
+            let summary = execute(&jobs, &SpecRunner, workers, &DeltaSink::noop(), |out| {
                 assert!(out.result.is_ok(), "{:?}", out.result);
                 assert!(
                     out.metrics.worker < workers.min(jobs.len()),
@@ -611,19 +546,58 @@ mod tests {
         clone.tick();
         assert_eq!(live.beats(), 1, "clones share one counter");
 
-        // run_job_beating ticks once per attempt, even when the runner
-        // itself never cooperates.
+        // run_job ticks once per attempt, even when the runner itself never
+        // cooperates (here: hides the beacon from the slice loop).
         let beacon = Heartbeat::live();
         let runner = |j: &Job, ctx: &RunCtx| {
             if ctx.attempt < 3 {
                 panic!("transient");
             }
-            SpecRunner.run(j, ctx)
+            let silent = RunCtx {
+                heartbeat: Heartbeat::noop(),
+                ..ctx.clone()
+            };
+            SpecRunner.run(j, &silent)
         };
-        let out = run_job_beating(0, &job("exchange2", 3), &runner, Duration::ZERO, 0, &beacon);
+        let job = job("exchange2", 3);
+        let sink = DeltaSink::noop();
+        let out = run_job(0, &job, &runner, Duration::ZERO, 0, &beacon, &sink);
         assert!(out.result.is_ok());
         assert_eq!(out.metrics.assignments, 1);
         assert_eq!(beacon.beats(), 3, "one beat per attempt");
+    }
+
+    #[test]
+    fn spec_runner_ticks_the_heartbeat_every_slice() {
+        // A lease supervisor must see a long attempt advance: the slice
+        // loop beats at every slice boundary, plain or checkpointed.
+        let job = job("mcf", 1);
+        let dir = std::env::temp_dir().join(format!("tip-exec-beat-{}", std::process::id()));
+        let every = 100_000;
+        let checkpoint = CheckpointSpec {
+            snapshot_path: dir.join("mcf.tips"),
+            trace_path: dir.join("mcf.trace"),
+            every_cycles: every,
+            resume: false,
+        };
+        for (checkpoint, slice) in [(None, DEFAULT_STREAM_CYCLES), (Some(checkpoint), every)] {
+            let beacon = Heartbeat::live();
+            let ctx = RunCtx {
+                heartbeat: beacon.clone(),
+                checkpoint,
+                ..RunCtx::new(job.seed)
+            };
+            let run = SpecRunner.run(&job, &ctx).expect("mcf completes");
+            let slices = run.summary.cycles / slice;
+            assert!(slices >= 2, "mcf spans {slices} slices of {slice}");
+            assert!(
+                beacon.beats() >= slices,
+                "{} beats over {} cycles in slices of {slice}",
+                beacon.beats(),
+                run.summary.cycles
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -633,7 +607,7 @@ mod tests {
             .map(|n| job(n, 1))
             .collect();
         let mut waits = Vec::new();
-        execute(&jobs, &SpecRunner, 1, |out| {
+        execute(&jobs, &SpecRunner, 1, &DeltaSink::noop(), |out| {
             assert_eq!(out.metrics.worker, 0);
             waits.push(out.metrics.queue_wait);
         });
@@ -645,9 +619,12 @@ mod tests {
     #[test]
     fn worker_count_is_capped_by_job_count_and_floored_at_one() {
         let jobs = vec![job("exchange2", 1)];
-        assert_eq!(execute(&jobs, &SpecRunner, 0, |_| {}).workers, 1);
-        assert_eq!(execute(&jobs, &SpecRunner, 16, |_| {}).workers, 1);
-        assert_eq!(execute(&[], &SpecRunner, 16, |_| {}).workers, 1);
+        let run = |jobs: &[Job], workers| {
+            execute(jobs, &SpecRunner, workers, &DeltaSink::noop(), |_| {}).workers
+        };
+        assert_eq!(run(&jobs, 0), 1);
+        assert_eq!(run(&jobs, 16), 1);
+        assert_eq!(run(&[], 16), 1);
     }
 
     #[test]
@@ -663,7 +640,9 @@ mod tests {
             SpecRunner.run(j, ctx)
         };
         let mut outcomes = Vec::new();
-        execute(&jobs, &runner, 4, |out| outcomes.push(out));
+        execute(&jobs, &runner, 4, &DeltaSink::noop(), |out| {
+            outcomes.push(out);
+        });
         assert_eq!(tries.load(Ordering::SeqCst), 3);
         assert_eq!(outcomes.len(), 1);
         assert_eq!(outcomes[0].attempts, 3);
@@ -679,7 +658,9 @@ mod tests {
             panic!("always dies (attempt {})", ctx.attempt)
         };
         let mut outcomes = Vec::new();
-        execute(&jobs, &runner, 2, |out| outcomes.push(out));
+        execute(&jobs, &runner, 2, &DeltaSink::noop(), |out| {
+            outcomes.push(out);
+        });
         assert_eq!(outcomes[0].attempts, 2);
         match &outcomes[0].result {
             Err(RunError::Panicked { bench, message }) => {
@@ -699,7 +680,7 @@ mod tests {
             .collect();
         let collect = |workers| {
             let mut runs = Vec::new();
-            execute(&jobs, &SpecRunner, workers, |out| {
+            execute(&jobs, &SpecRunner, workers, &DeltaSink::noop(), |out| {
                 runs.push(out.result.expect("completes"));
             });
             runs

@@ -5,6 +5,7 @@
 //! measured numbers against the paper's.
 
 use crate::executor::{self, default_workers, Job, SpecRunner};
+use crate::live::DeltaSink;
 use crate::run::{run_profiled, ProfiledRun, RunError, DEFAULT_INTERVAL};
 use tip_core::{CycleCategory, ProfilerId, SamplerConfig, NUM_CATEGORIES};
 use tip_isa::{Granularity, SymbolId};
@@ -59,7 +60,8 @@ pub fn run_suite_with(
         .collect();
     let mut runs: Vec<SuiteRun> = Vec::with_capacity(jobs.len());
     let mut first_err: Option<RunError> = None;
-    executor::execute(&jobs, &SpecRunner, default_workers(), |out| {
+    let sink = DeltaSink::noop();
+    executor::execute(&jobs, &SpecRunner, default_workers(), &sink, |out| {
         // Commits arrive in suite order, so the first error seen here is
         // the same one the old serial loop would have failed fast on.
         if first_err.is_some() {

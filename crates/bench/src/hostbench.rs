@@ -449,7 +449,7 @@ fn measure_cell(
             Mode::Stream => {
                 // The streaming campaign path, timed end to end: the sliced
                 // `Core::run` loop plus a delta flush per slice boundary,
-                // exactly as `run_profiled_streaming` pays it. The deltas go
+                // exactly as `run_profiled_sliced` pays it. The deltas go
                 // to a black box — the consumer side (wire, aggregate) runs
                 // on other threads in a real campaign and is measured by the
                 // serve layer, not here.

@@ -191,43 +191,25 @@ impl Ledger {
         metrics: JobMetrics,
         profilers: &[ProfilerId],
     ) {
-        self.persist_completed(c, profilers);
-        self.settled_ok += 1;
-        self.rows.push(BenchRow {
-            name: c.run.bench.name.to_owned(),
-            ok: true,
-            attempts: c.attempts,
-            metrics,
-        });
-        self.record_journal(c.run.bench.name, true);
-        self.persist_failure_report();
+        let body = render_completed(c, profilers);
+        self.commit_rendered(c.run.bench.name, true, c.attempts, &body, "", metrics);
     }
 
     /// Commits a failed benchmark: persists its result file, journals it
     /// `failed`, and rewrites the failure report with the new casualty.
     pub fn commit_failed(&mut self, f: &FailedBench, metrics: JobMetrics) {
-        self.persist_failed(f);
-        self.failures.push(FailureLine {
-            name: f.name.to_owned(),
-            attempts: f.attempts,
-            error: one_line(&f.error.to_string()),
-        });
-        self.rows.push(BenchRow {
-            name: f.name.to_owned(),
-            ok: false,
-            attempts: f.attempts,
-            metrics,
-        });
-        self.record_journal(f.name, false);
-        self.persist_failure_report();
+        let error_line = one_line(&f.error.to_string());
+        let body = render_failed(f);
+        self.commit_rendered(f.name, false, f.attempts, &body, &error_line, metrics);
     }
 
-    /// Commits a benchmark settled on a *remote* daemon: the result-file
-    /// body arrives pre-rendered (by [`render_completed`] /
-    /// [`render_failed`] on the daemon), so this writes it verbatim and the
-    /// artifacts stay byte-identical to a local run. `error_line` is the
-    /// one-line failure message for `failures.txt` (empty when `ok`).
-    pub fn commit_remote(
+    /// Commits a settled benchmark whose result-file body is already
+    /// rendered ([`render_completed`] / [`render_failed`]), locally or on a
+    /// remote daemon: writes it verbatim, journals it, and rewrites the
+    /// failure report, so the artifacts are byte-identical wherever the
+    /// body was rendered. `error_line` is the one-line failure message for
+    /// `failures.txt` (empty when `ok`).
+    pub fn commit_rendered(
         &mut self,
         name: &str,
         ok: bool,
@@ -322,21 +304,6 @@ impl Ledger {
             );
         }
         report_io(atomic_write(&dir.join(METRICS_FILE), body.as_bytes()));
-    }
-
-    fn persist_completed(&self, c: &CompletedBench, profilers: &[ProfilerId]) {
-        let Some(dir) = &self.out_dir else { return };
-        let body = render_completed(c, profilers);
-        report_io(atomic_write(
-            &result_path(dir, c.run.bench.name),
-            body.as_bytes(),
-        ));
-    }
-
-    fn persist_failed(&self, f: &FailedBench) {
-        let Some(dir) = &self.out_dir else { return };
-        let body = render_failed(f);
-        report_io(atomic_write(&result_path(dir, f.name), body.as_bytes()));
     }
 
     fn record_journal(&mut self, name: &str, ok: bool) {

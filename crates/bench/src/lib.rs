@@ -1,10 +1,12 @@
 //! Experiment harness for the TIP reproduction.
 //!
 //! One module per concern: [`run`] executes a benchmark under the full
-//! profiler bank, [`table`] renders the paper-style text tables,
+//! profiler bank through one slice loop ([`run_profiled_sliced`]) that
+//! beats the lease heartbeat, streams profile deltas, and checkpoints at
+//! its slice boundaries, [`table`] renders the paper-style text tables,
 //! [`experiments`] implements the data collection behind every figure and
 //! table of the paper (each `src/bin/figNN.rs` binary is a thin wrapper),
-//! [`checkpoint`] adds mid-run `TIPS` snapshots with crash-safe resume,
+//! [`checkpoint`] owns the `TIPS` snapshot files and crash-safe resume,
 //! [`executor`] turns a sweep into explicit [`Job`](executor::Job) specs
 //! fanned out over worker threads with a deterministic merge, and
 //! [`campaign`] adds the fault-tolerant sweep layer on top (per-benchmark
@@ -35,19 +37,16 @@ pub mod run;
 pub mod table;
 
 pub use campaign::{run_suite_campaign, CampaignCli, CampaignConfig, CampaignOutcome};
-pub use checkpoint::{
-    load_checkpoint, run_profiled_checkpointed, run_profiled_checkpointed_streaming,
-    save_checkpoint, CheckpointSpec, LoadedCheckpoint,
-};
+pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointSpec, LoadedCheckpoint};
 pub use executor::{
-    default_workers, execute, execute_streaming, run_job, run_job_beating, run_job_streaming,
-    ExecSummary, Heartbeat, Job, JobMetrics, JobOutcome, RunCtx, Runner, SpecRunner,
+    default_workers, execute, run_job, ExecSummary, Heartbeat, Job, JobMetrics, JobOutcome, RunCtx,
+    Runner, SpecRunner,
 };
 pub use hostbench::{run_hostbench, HostBenchOptions, HostBenchReport, ScalingReport};
 pub use ledger::Ledger;
 pub use live::{BenchView, DeltaEvent, DeltaSink, LiveAggregate, LiveView};
 pub use pgo::{closed_loop, closed_loop_program, PgoLoopError, PgoReport, PgoRow};
 pub use run::{
-    run_profiled, run_profiled_streaming, ProfiledRun, RunError, StreamObserver, DEFAULT_INTERVAL,
+    run_profiled, run_profiled_sliced, ProfiledRun, RunError, DEFAULT_INTERVAL,
     DEFAULT_STREAM_CYCLES,
 };

@@ -1,7 +1,7 @@
 //! Live in-memory aggregation of streaming profile deltas.
 //!
 //! Runners flush [`tip_core::BankDeltas`] at slice boundaries (see
-//! [`crate::run::run_profiled_streaming`] and the checkpointed variant);
+//! [`crate::run::run_profiled_sliced`]);
 //! each flush is wrapped in a [`DeltaEvent`] and pushed through a
 //! [`DeltaSink`] into a shared [`LiveAggregate`]. The aggregate merges the
 //! integer-unit deltas per benchmark and per profiler, so at any moment a

@@ -21,7 +21,9 @@ use tip_ooo::CoreConfig;
 use tip_pgo::{check_equivalence, EquivError, PgoConfig, PgoError, PgoPass};
 use tip_workloads::{benchmark, SuiteScale};
 
-use crate::run::{run_profiled, run_profiled_budgeted, ProfiledRun, RunError, DEFAULT_INTERVAL};
+use crate::executor::{Job, RunCtx};
+use crate::live::DeltaSink;
+use crate::run::{run_profiled, run_profiled_sliced, ProfiledRun, RunError, DEFAULT_INTERVAL};
 use crate::table::Table;
 
 /// Observable records compared per equivalence check. The workloads retire
@@ -131,7 +133,7 @@ pub fn optimize_under(
 }
 
 /// One pgo job attempt, for the service path (`tipctl submit pgo`): profile
-/// `program` under the job's bank (TIP joins the run if the job did not
+/// the job's program under its bank (TIP joins the run if the job did not
 /// already attach it — the pass needs its guidance), apply the TIP-guided
 /// pass, prove the rewrite equivalent, and re-simulate the optimized
 /// program under the job's own profilers. The returned run is an ordinary
@@ -139,39 +141,45 @@ pub fn optimize_under(
 /// artifacts (`<bench>.result`, journal row, failure line) use the exact
 /// formats a plain job uses — only the measured numbers change.
 ///
+/// Both simulations tick `ctx.heartbeat` per slice. Neither checkpoints nor
+/// streams deltas: the loop simulates twice and its rewrite invalidates any
+/// mid-run snapshot.
+///
 /// # Errors
 ///
 /// [`RunError`] from either simulation; [`RunError::Pgo`] when the pass
 /// refuses or the rewrite fails the equivalence check.
-pub fn pgo_run(
-    bench: &str,
-    program: &Program,
-    core: CoreConfig,
-    sampler: SamplerConfig,
-    profilers: &[ProfilerId],
-    seed: u64,
-    max_cycles: u64,
-) -> Result<ProfiledRun, RunError> {
-    let mut bank: Vec<ProfilerId> = profilers.to_vec();
+pub fn pgo_run(job: &Job, ctx: &RunCtx) -> Result<ProfiledRun, RunError> {
+    let ctx = RunCtx {
+        checkpoint: None,
+        delta_sink: DeltaSink::noop(),
+        ..ctx.clone()
+    };
+    let mut bank = job.profilers.clone();
     if !bank.contains(&ProfilerId::Tip) {
         bank.push(ProfilerId::Tip);
     }
-    let baseline = run_profiled_budgeted(program, core.clone(), sampler, &bank, seed, max_cycles)?;
+    let program = &job.bench.program;
+    let run = |program: &Program, profilers: &[ProfilerId]| {
+        let core = job.core.clone();
+        run_profiled_sliced(program, core, job.sampler, profilers, job.max_cycles, &ctx)
+    };
+    let baseline = run(program, &bank)?;
     let (optimized, _actions) = optimize_under(
         program,
         &baseline,
         ProfilerId::Tip,
         &PgoConfig::default(),
-        seed,
+        ctx.seed,
     )
     .map_err(|e| match e {
         PgoLoopError::Run(e) => e,
         other => RunError::Pgo {
-            bench: bench.to_owned(),
+            bench: job.bench.name.to_owned(),
             message: other.to_string(),
         },
     })?;
-    run_profiled_budgeted(&optimized, core, sampler, profilers, seed, max_cycles)
+    run(&optimized, &job.profilers)
 }
 
 /// Runs the closed loop for one workload: profile once under the whole

@@ -2,11 +2,16 @@
 
 use std::error::Error;
 use std::fmt;
+use std::fs::{self, File};
 
-use tip_core::{BankDeltas, BankResult, ProfilerBank, ProfilerId, SamplerConfig};
+use crate::checkpoint::{build_state, save_checkpoint};
+use crate::executor::RunCtx;
+use crate::live::DeltaEvent;
+use tip_core::{BankResult, ProfilerBank, ProfilerId, SamplerConfig};
 use tip_isa::{Granularity, Program};
 use tip_mem::MemStats;
-use tip_ooo::{Core, CoreConfig, CoreStats, RunExit, RunSummary, SimError};
+use tip_ooo::{CoreConfig, CoreStats, CycleRecord, RunExit, RunSummary, SimError, TraceSink};
+use tip_trace::{TraceError, TraceWriter};
 
 /// The default sampling interval in cycles for our scaled-down runs.
 ///
@@ -150,117 +155,157 @@ pub fn run_profiled(
     profilers: &[ProfilerId],
     seed: u64,
 ) -> Result<ProfiledRun, RunError> {
-    run_profiled_budgeted(program, config, sampler, profilers, seed, MAX_CYCLES)
+    run_profiled_sliced(
+        program,
+        config,
+        sampler,
+        profilers,
+        MAX_CYCLES,
+        &RunCtx::new(seed),
+    )
 }
 
-/// [`run_profiled`] with an explicit cycle budget instead of the harness
-/// default [`MAX_CYCLES`].
+/// Forwards every record to the optional trace writer and the bank.
+struct Sinks<'a> {
+    trace: Option<&'a mut TraceWriter<File>>,
+    bank: &'a mut ProfilerBank,
+}
+
+impl TraceSink for Sinks<'_> {
+    fn on_cycle(&mut self, record: &CycleRecord) {
+        if let Some(trace) = self.trace.as_deref_mut() {
+            trace.on_cycle(record);
+        }
+        self.bank.on_cycle(record);
+    }
+}
+
+/// The one sliced profiled run every entry point goes through.
+///
+/// The core and bank start fresh from `ctx.seed`, or are restored from the
+/// snapshot when `ctx.checkpoint` asks to resume and one exists (see
+/// [`crate::checkpoint`]). The simulation advances in slices of the
+/// checkpoint period when checkpointing and [`DEFAULT_STREAM_CYCLES`]
+/// otherwise; `Core::run` resumes bit-exactly across slice boundaries, so
+/// the slicing never shows in the result. At every boundary the run:
+///
+/// * ticks `ctx.heartbeat`, so a lease supervisor sees the simulation
+///   advance;
+/// * flushes function-granularity profile deltas into a live
+///   `ctx.delta_sink` (also once at completion) — observation only, and
+///   **before** the snapshot below, because the flush advances only the
+///   bank's unserialized streaming watermarks, so checkpoint bytes are
+///   identical with streaming on or off;
+/// * when checkpointing, seals the commit trace file and atomically
+///   persists a restorable snapshot. A completed run consumes (removes)
+///   the snapshot; the trace remains as an artifact.
 ///
 /// # Errors
 ///
 /// [`RunError::Sim`] carrying [`SimError::Livelock`] when the watchdog
-/// catches a commit livelock, or [`SimError::CycleLimit`] when `max_cycles`
-/// elapse while the core is still making progress — two distinct failure
-/// modes, never conflated.
-pub fn run_profiled_budgeted(
+/// catches a commit livelock, or [`SimError::CycleLimit`] when
+/// `max_cycles` elapse while the core is still making progress — two
+/// distinct failure modes, never conflated. [`RunError::Checkpoint`] when
+/// a snapshot cannot be written or an existing one fails to restore; the
+/// poisoned snapshot is removed first, so a retry starts from scratch
+/// instead of hitting the same damage again.
+pub fn run_profiled_sliced(
     program: &Program,
     config: CoreConfig,
     sampler: SamplerConfig,
     profilers: &[ProfilerId],
-    seed: u64,
     max_cycles: u64,
+    ctx: &RunCtx,
 ) -> Result<ProfiledRun, RunError> {
-    run_profiled_streaming(program, config, sampler, profilers, seed, max_cycles, None)
-}
-
-/// How often a streaming run flushes profile deltas, and where they go.
-///
-/// The observer sees quantized cumulative increments
-/// ([`tip_core::BankDeltas`]); it never touches the samples, so enabling it
-/// cannot change the run's final profile — streaming is pure observation.
-pub struct StreamObserver<'a> {
-    /// Simulated cycles between delta flushes (≥ 1; a final flush always
-    /// happens at completion regardless).
-    pub every_cycles: u64,
-    /// Receives each flush.
-    pub observe: &'a dyn Fn(BankDeltas),
-}
-
-impl fmt::Debug for StreamObserver<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StreamObserver")
-            .field("every_cycles", &self.every_cycles)
-            .finish_non_exhaustive()
-    }
-}
-
-/// [`run_profiled_budgeted`] with an optional streaming observer: with
-/// `stream` set, the simulation advances in slices of
-/// [`StreamObserver::every_cycles`] and flushes function-granularity
-/// profile deltas at every slice boundary plus once at completion. The
-/// simulation itself is identical — `Core::run` resumes bit-exactly across
-/// slice boundaries — so the returned [`ProfiledRun`] matches the
-/// non-streaming call byte for byte.
-///
-/// # Errors
-///
-/// As [`run_profiled_budgeted`].
-pub fn run_profiled_streaming(
-    program: &Program,
-    config: CoreConfig,
-    sampler: SamplerConfig,
-    profilers: &[ProfilerId],
-    seed: u64,
-    max_cycles: u64,
-    stream: Option<StreamObserver<'_>>,
-) -> Result<ProfiledRun, RunError> {
-    let mut bank = ProfilerBank::new(program, sampler, profilers);
-    let mut core = Core::new(program, config, seed);
+    let bench = program.name();
+    let spec = ctx.checkpoint.as_ref();
     let sim_err = |source| RunError::Sim {
-        bench: program.name().to_owned(),
+        bench: bench.to_owned(),
         source,
     };
-    let summary = match &stream {
-        None => core
-            .run_to_completion(&mut bank, max_cycles)
-            .map_err(sim_err)?,
-        Some(observer) => {
-            let map = program.symbol_map(Granularity::Function);
-            let every = observer.every_cycles.max(1);
-            loop {
-                let stop = core.stats().cycles.saturating_add(every).min(max_cycles);
-                let summary = core.run(&mut bank, stop);
-                (observer.observe)(bank.flush_deltas(&map));
-                match summary.exit {
-                    RunExit::Halted | RunExit::StreamEnd => break summary,
-                    RunExit::Stuck(diag) => {
-                        return Err(sim_err(SimError::Livelock(diag)));
-                    }
-                    RunExit::CycleLimit => {
-                        if stop >= max_cycles {
-                            return Err(sim_err(SimError::CycleLimit {
-                                max_cycles,
-                                committed: summary.instructions,
-                            }));
-                        }
-                    }
-                }
+    let ckpt_err = |source: TraceError| RunError::Checkpoint {
+        bench: bench.to_owned(),
+        source,
+    };
+    let (mut core, mut bank, mut trace) =
+        build_state(program, config, sampler, profilers, ctx.seed, spec).map_err(|source| {
+            // Classified rejection: drop the unusable snapshot so the
+            // campaign's reseeded retry runs from scratch.
+            if let Some(spec) = spec {
+                let _ = fs::remove_file(&spec.snapshot_path);
+            }
+            ckpt_err(source)
+        })?;
+    let map = ctx
+        .delta_sink
+        .is_live()
+        .then(|| program.symbol_map(Granularity::Function));
+    let every = spec
+        .map_or(DEFAULT_STREAM_CYCLES, |s| s.every_cycles)
+        .max(1);
+    loop {
+        let stop = core.stats().cycles.saturating_add(every).min(max_cycles);
+        let summary = core.run(
+            &mut Sinks {
+                trace: trace.as_mut(),
+                bank: &mut bank,
+            },
+            stop,
+        );
+        ctx.heartbeat.tick();
+        if let Some(map) = &map {
+            ctx.delta_sink.emit(DeltaEvent {
+                bench: bench.to_owned(),
+                attempt: ctx.attempt,
+                deltas: bank.flush_deltas(map),
+            });
+        }
+        let done = match summary.exit {
+            RunExit::Halted | RunExit::StreamEnd => true,
+            RunExit::Stuck(diag) => return Err(sim_err(SimError::Livelock(diag))),
+            RunExit::CycleLimit if stop >= max_cycles => {
+                return Err(sim_err(SimError::CycleLimit {
+                    max_cycles,
+                    committed: summary.instructions,
+                }));
+            }
+            RunExit::CycleLimit => false,
+        };
+        if let (Some(trace), Some(spec)) = (trace.as_mut(), spec) {
+            // Seal the trace so its position is a valid resume point.
+            trace.flush().map_err(|e| ckpt_err(e.into()))?;
+            if done {
+                // The checkpoint is consumed; a completed run leaves none.
+                let _ = fs::remove_file(&spec.snapshot_path);
+            } else {
+                save_checkpoint(
+                    &spec.snapshot_path,
+                    summary.cycles,
+                    &core.snapshot(),
+                    &bank.snapshot(),
+                    trace.position(),
+                )
+                .map_err(|e| ckpt_err(e.into()))?;
             }
         }
-    };
-    let stats = *core.stats();
-    let mem_stats = core.mem_stats();
-    Ok(ProfiledRun {
-        bank: bank.finish(),
-        summary,
-        stats,
-        mem_stats,
-    })
+        if done {
+            let stats = *core.stats();
+            let mem_stats = core.mem_stats();
+            return Ok(ProfiledRun {
+                bank: bank.finish(),
+                summary,
+                stats,
+                mem_stats,
+            });
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointSpec;
+    use crate::live::DeltaSink;
     use tip_workloads::{benchmark, SuiteScale};
 
     #[test]
@@ -283,37 +328,67 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_a_distinct_error_not_a_livelock() {
         let b = benchmark("exchange2", SuiteScale::Test);
-        // A budget far below the benchmark's natural length: the core is
-        // healthy and committing, so the watchdog must stay silent and the
-        // failure must classify as CycleLimit carrying the exact budget.
-        let err = run_profiled_budgeted(
-            &b.program,
-            CoreConfig::default(),
-            SamplerConfig::periodic(211),
-            &[ProfilerId::Tip],
-            1,
-            1_000,
-        )
-        .expect_err("1k cycles cannot finish the benchmark");
-        match &err {
-            RunError::Sim {
-                bench,
-                source:
-                    source @ SimError::CycleLimit {
-                        max_cycles,
-                        committed,
-                    },
-            } => {
-                assert_eq!(bench, "exchange2");
-                assert_eq!(*max_cycles, 1_000);
-                assert!(*committed > 0, "the core was making progress");
-                assert!(
-                    !matches!(source, SimError::Livelock(_)),
-                    "budget exhaustion must not be conflated with livelock"
-                );
-                assert!(source.to_string().contains("cycle budget exhausted"));
+        let dir = std::env::temp_dir().join(format!("tip-run-budget-{}", std::process::id()));
+        let checkpoint = CheckpointSpec {
+            snapshot_path: dir.join("exchange2.tips"),
+            trace_path: dir.join("exchange2.trace"),
+            every_cycles: 300,
+            resume: false,
+        };
+        // Every run shape goes through the one slice loop: plain,
+        // streaming deltas, and checkpointed (which slices below the budget).
+        let shapes = [
+            ("plain", RunCtx::new(1)),
+            (
+                "streaming",
+                RunCtx {
+                    delta_sink: DeltaSink::new(|_| {}),
+                    ..RunCtx::new(1)
+                },
+            ),
+            (
+                "checkpointed",
+                RunCtx {
+                    checkpoint: Some(checkpoint),
+                    ..RunCtx::new(1)
+                },
+            ),
+        ];
+        for (shape, ctx) in shapes {
+            // A budget far below the benchmark's natural length: the core is
+            // healthy and committing, so the watchdog must stay silent and
+            // the failure must classify as CycleLimit carrying the exact
+            // budget.
+            let err = run_profiled_sliced(
+                &b.program,
+                CoreConfig::default(),
+                SamplerConfig::periodic(211),
+                &[ProfilerId::Tip],
+                1_000,
+                &ctx,
+            )
+            .expect_err("1k cycles cannot finish the benchmark");
+            match &err {
+                RunError::Sim {
+                    bench,
+                    source:
+                        source @ SimError::CycleLimit {
+                            max_cycles,
+                            committed,
+                        },
+                } => {
+                    assert_eq!(bench, "exchange2", "{shape}");
+                    assert_eq!(*max_cycles, 1_000, "{shape}");
+                    assert!(*committed > 0, "{shape}: the core was making progress");
+                    assert!(
+                        !matches!(source, SimError::Livelock(_)),
+                        "{shape}: budget exhaustion must not be conflated with livelock"
+                    );
+                    assert!(source.to_string().contains("cycle budget exhausted"));
+                }
+                other => panic!("{shape}: expected CycleLimit, got {other:?}"),
             }
-            other => panic!("expected CycleLimit, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,8 +11,9 @@ use std::fs::{self, File};
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use tip_bench::checkpoint::{run_profiled_checkpointed, save_checkpoint, CheckpointSpec};
-use tip_bench::run::run_profiled;
+use tip_bench::checkpoint::{save_checkpoint, CheckpointSpec};
+use tip_bench::executor::RunCtx;
+use tip_bench::run::{run_profiled, run_profiled_sliced, MAX_CYCLES};
 use tip_core::{ProfilerBank, ProfilerId, SamplerConfig};
 use tip_ooo::{Core, CoreConfig, CycleRecord, TraceSink};
 use tip_trace::framing::crc32;
@@ -109,13 +110,17 @@ fn assert_resume_equivalent(seed: u64, cut: u64, tag: &str) {
     }
 
     // The "restarted" process: restore and run to completion.
-    let resumed = run_profiled_checkpointed(
+    let ctx = RunCtx {
+        checkpoint: Some(spec.clone()),
+        ..RunCtx::new(seed)
+    };
+    let resumed = run_profiled_sliced(
         &b.program,
         CoreConfig::default(),
         sampler(),
         &PROFILERS,
-        seed,
-        &spec,
+        MAX_CYCLES,
+        &ctx,
     )
     .expect("resumed run completes");
 
@@ -202,13 +207,14 @@ fn killed_campaign_resumes_mid_benchmark_from_its_checkpoint() {
         vec![benchmark("exchange2", SuiteScale::Test)],
         &config,
         |job: &tip_bench::Job, ctx: &tip_bench::RunCtx| {
-            run_profiled_checkpointed(
+            assert!(ctx.checkpoint.is_some(), "checkpointing configured");
+            run_profiled_sliced(
                 &job.bench.program,
                 CoreConfig::default(),
                 job.sampler,
                 &job.profilers,
-                ctx.seed,
-                ctx.checkpoint.as_ref().expect("checkpointing configured"),
+                MAX_CYCLES,
+                ctx,
             )
         },
     );

@@ -374,10 +374,9 @@ impl Client {
         self.watch_live(job, |state, _cycles| on_progress(state))
     }
 
-    /// [`Client::watch`] with the v4 live cycle count: `on_progress` also
+    /// [`Client::watch`] with the live cycle count: `on_progress` also
     /// receives the simulated cycles the job's benchmark had streamed when
-    /// the frame was sent (0 from pre-v4 servers, or before the first
-    /// delta flush lands).
+    /// the frame was sent (0 before the first delta flush lands).
     ///
     /// # Errors
     ///

@@ -19,7 +19,7 @@
 //!   `tipd --join` runs.
 //!
 //! The committer writes every settled body verbatim through
-//! [`Ledger::commit_remote`] in submission order, so `journal.txt`, every
+//! [`Ledger::commit_rendered`] in submission order, so `journal.txt`, every
 //! `<bench>.result`, and `failures.txt` are byte-identical to a local
 //! [`tip_bench::campaign`] run at any (daemon × worker) fan-out, whichever
 //! agent ran which job.
@@ -27,7 +27,8 @@
 //! # Leases, epochs, and the reaper
 //!
 //! Every assignment carries a lease and a [`Heartbeat`]. A local worker
-//! ticks it at every attempt boundary ([`run_job_streaming`]); any frame
+//! ticks it at every attempt boundary ([`run_job`]) and every simulated
+//! slice ([`tip_bench::run::run_profiled_sliced`]); any frame
 //! from a remote daemon (beacon, poll, push, delta) ticks every assignment
 //! it holds. The reaper extends a lease whose heartbeat advanced and
 //! requeues one that stayed silent past its deadline under a bumped
@@ -72,9 +73,7 @@ use std::time::{Duration, Instant};
 use crate::client::{Client, ClientError};
 use crate::proto::{DeltaFrame, ErrorCode, JobSpec, JobState, RemoteOutcome, ServerStats};
 use tip_bench::campaign::{CompletedBench, FailedBench};
-use tip_bench::executor::{
-    run_job_streaming, ExecSummary, Heartbeat, Job, JobMetrics, Runner, SpecRunner,
-};
+use tip_bench::executor::{run_job, ExecSummary, Heartbeat, Job, JobMetrics, Runner, SpecRunner};
 use tip_bench::experiments::SuiteRun;
 use tip_bench::ledger::{one_line, render_completed, render_failed, result_path, Ledger};
 use tip_bench::live::{DeltaEvent, DeltaSink, LiveAggregate};
@@ -83,10 +82,11 @@ use tip_isa::{Granularity, SymbolId};
 use tip_ooo::CoreConfig;
 use tip_workloads::{benchmark, BENCHMARK_NAMES};
 
-/// Default assignment lease with local workers: generous enough that a
-/// full-scale benchmark attempt (which beats only at attempt boundaries)
-/// never trips it on a healthy host, short enough that a genuinely wedged
-/// worker is reaped within operational patience.
+/// Default assignment lease with local workers. A local worker beats once
+/// per simulated slice, so the lease only has to outlive one slice on a
+/// loaded host (and a pgo job's unsliced rewrite and equivalence check);
+/// it stays long so a genuinely wedged worker is reaped within operational
+/// patience without ever tripping on a slow one.
 pub const DEFAULT_LEASE: Duration = Duration::from_secs(300);
 
 /// Default lease for a pure coordinator (`tipd --coordinator`): a remote
@@ -1100,7 +1100,7 @@ fn committer_loop(inner: &Inner, mut ledger: Ledger) {
                     (e.name, metrics)
                 };
                 let (ok, attempts) = (outcome.ok, outcome.attempts);
-                ledger.commit_remote(
+                ledger.commit_rendered(
                     name,
                     ok,
                     attempts,
@@ -1212,7 +1212,7 @@ impl Session {
 /// drains (clean exit) or stays unreachable past the give-up window.
 ///
 /// Worker threads poll for assignments, regenerate and run the benchmark
-/// locally through the exact [`run_job_streaming`] retry ladder a local
+/// locally through the exact [`run_job`] retry ladder a local
 /// campaign uses, render the result-file bytes on the spot, and push them
 /// back. One beacon thread heartbeats at a quarter of the coordinator's
 /// lease — process-level liveness, since a dead process takes every worker
@@ -1402,8 +1402,8 @@ fn remote_worker_loop(
 
 /// Runs one assignment through the exact retry ladder a local campaign
 /// worker uses and renders the result-file bytes the committer persists
-/// verbatim. `beacon` ticks at attempt boundaries; delta flushes stream
-/// through `sink` while the run progresses.
+/// verbatim. `beacon` ticks at attempt and slice boundaries; delta flushes
+/// stream through `sink` while the run progresses.
 fn run_assignment<R: Runner>(
     spec: &JobSpec,
     worker: usize,
@@ -1431,7 +1431,7 @@ fn run_assignment<R: Runner>(
         pgo: spec.pgo,
     };
     let index = usize::try_from(task.saturating_sub(1)).unwrap_or(0);
-    let outcome = run_job_streaming(index, &job, runner, Duration::ZERO, worker, beacon, sink);
+    let outcome = run_job(index, &job, runner, Duration::ZERO, worker, beacon, sink);
     let attempts = outcome.attempts;
     let metrics = outcome.metrics;
     #[allow(clippy::cast_possible_truncation)]

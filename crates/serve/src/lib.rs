@@ -35,7 +35,7 @@
 //!   The harness that proves the other layers' fault story — on the
 //!   client↔daemon hop and the coordinator↔daemon hop alike.
 //!
-//! Since TIPW v4 the service also *streams*: local and remote agents
+//! The service also *streams*: local and remote agents
 //! flush quantized [`tip_bench::live`] profile deltas (remote ones as
 //! `PushDelta` frames) into the coordinator's
 //! [`tip_bench::LiveAggregate`], fenced by the assignment they hold, and

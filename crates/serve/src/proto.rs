@@ -15,7 +15,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic   "TIPW"
-//! 4       2     version (little-endian, currently 5 = VERSION)
+//! 4       2     version (little-endian, exactly VERSION = 6)
 //! 6       2     kind    (request/response discriminant)
 //! 8       4     payload length in bytes (1 ..= MAX_PAYLOAD)
 //! 12      4     CRC-32 over bytes 0..12 ++ payload
@@ -30,40 +30,16 @@
 //!
 //! # Versioning
 //!
-//! Version 2 (fault-tolerance) extends version 1 by *appending* fields to
-//! existing payloads — `Submit` gains a request id for idempotent
-//! resubmission, `Watch` gains `from_seq` for stream resumption, and
-//! `Progress` gains a sequence number, and `Stats` gains reassignment and
-//! load-shed counters — plus the new
-//! [`Response::Overloaded`] frame kind.
+//! The protocol is frozen at one version, [`VERSION`], with one fixed
+//! layout per frame kind: every field is always present and read
+//! unconditionally, and a payload with bytes left over is malformed. Every
+//! peer ships from this workspace, so there is no mixed-version decoding.
+//! A frame carrying any other version — older or newer — is refused at the
+//! frame layer with [`TraceError::UnsupportedVersion`] instead of being
+//! misdecoded against the wrong layout. A layout change bumps [`VERSION`].
 //!
-//! Version 3 (fleet coordination) follows the same discipline: the fleet
-//! frames ([`Request::Register`], [`Request::Beacon`],
-//! [`Request::PollJob`], [`Request::PushResult`] and their responses) are
-//! *new* kinds, and the only change to an existing payload is appending the
-//! `daemons`/`stale` counters to `Stats`. A v3 decoder accepts v1/v2 frames
-//! by defaulting the absent tail fields to zero ([`read_frame`] accepts any
-//! version in [`MIN_VERSION`]`..=`[`VERSION`]). Encoders always emit the
-//! current [`VERSION`] (5, below), never an older one.
-//!
-//! Version 4 (streaming aggregation) keeps the same discipline once more:
-//! [`Request::PushDelta`] carries a [`DeltaFrame`] of quantized profile
-//! increments from a running job, [`Request::Query`] asks the live
-//! aggregate a question ([`QueryKind::TopN`], [`QueryKind::ErrorTrajectory`],
-//! [`QueryKind::CycleStack`]), and [`Response::QueryReply`] /
-//! [`Response::DeltaAck`] answer them — all *new* kinds. The only changes
-//! to existing payloads are appended tail fields: `Progress` gains the live
-//! cycle count of the job's benchmark, and `Stats` gains the
-//! `deltas`/`streamed` counters. Deltas are signed; the wire carries `i64`
-//! as its two's-complement `u64` bits, which round-trips exactly.
-//!
-//! Version 5 (profile-guided optimization) appends exactly one tail byte
-//! to two existing payloads and nothing else: `Submit` and `Assignment`
-//! gain the spec's [`JobSpec::pgo`] flag *after* their existing fields
-//! (after `req_id`, and after the spec, respectively — the flag cannot
-//! live inside the spec encoding itself, because the spec is followed by
-//! tail-defaulted fields whose decode would consume it). Absent means
-//! `false`, so pre-v5 frames decode as plain profiled runs.
+//! Deltas are signed; the wire carries `i64` as its two's-complement `u64`
+//! bits, which round-trips exactly.
 
 use std::io::{self, Read, Write};
 
@@ -78,12 +54,8 @@ use tip_workloads::SuiteScale;
 
 /// Stream magic: a framed TIPW protocol exchange.
 pub const MAGIC: [u8; 4] = *b"TIPW";
-/// Protocol version this build emits.
-pub const VERSION: u16 = 5;
-/// Oldest protocol version this build still decodes (v2 through v5 only
-/// append fields and frame kinds, so older frames decode with the tail
-/// fields defaulted).
-pub const MIN_VERSION: u16 = 1;
+/// Protocol version this build emits, and the only one it decodes.
+pub const VERSION: u16 = 6;
 /// Frame header length: magic + version + kind + payload length + CRC.
 pub const FRAME_HEADER_LEN: usize = 16;
 /// Request-size cap: the largest payload a peer may declare. Far above any
@@ -113,9 +85,7 @@ pub struct JobSpec {
     pub max_attempts: u32,
     /// Run the profile-guided-optimization loop instead of a plain
     /// profiled run (see [`tip_bench::pgo`]); the result file then reports
-    /// the TIP-optimized program's run in the ordinary ledger format. A v5
-    /// tail field carried by the containing `Submit`/`Assignment` frames,
-    /// not the spec encoding itself.
+    /// the TIP-optimized program's run in the ordinary ledger format.
     pub pgo: bool,
 }
 
@@ -200,16 +170,15 @@ pub struct ServerStats {
     /// (filled in by the server layer).
     pub shed: u32,
     /// Daemons currently registered with the fleet coordinator (0 on a
-    /// plain daemon; a v3 tail field).
+    /// plain daemon).
     pub daemons: u32,
     /// Results discarded because they arrived under a stale assignment
     /// epoch — a resurrected daemon pushing work that was already
-    /// reassigned (a v3 tail field).
+    /// reassigned.
     pub stale: u32,
-    /// Profile-delta flushes folded into the live aggregate so far (a v4
-    /// tail field).
+    /// Profile-delta flushes folded into the live aggregate so far.
     pub deltas: u64,
-    /// Benchmarks with live streamed state (a v4 tail field).
+    /// Benchmarks with live streamed state.
     pub streamed: u32,
 }
 
@@ -589,8 +558,7 @@ pub enum Response {
         /// `Watch{from_seq: seq + 1}`.
         seq: u64,
         /// Simulated cycles the job's benchmark has streamed so far (0
-        /// until the first delta lands, and from pre-v4 peers — a v4 tail
-        /// field).
+        /// until the first delta lands).
         cycles: u64,
     },
     /// Answer to `Result`: the bytes of the job's `<bench>.result` file.
@@ -728,7 +696,7 @@ const KIND_R_RESULT_ACK: u16 = 0x8F;
 const KIND_R_QUERY_REPLY: u16 = 0x90;
 const KIND_R_DELTA_ACK: u16 = 0x91;
 
-/// Wire code for "no profiler, meaning the Oracle" in v4 frames.
+/// Wire code for "no profiler, meaning the Oracle".
 const PROFILER_NONE: u8 = 255;
 
 fn put_opt_profiler(out: &mut Vec<u8>, p: Option<ProfilerId>) {
@@ -989,6 +957,7 @@ fn encode_spec(out: &mut Vec<u8>, spec: &JobSpec) {
         snap::put_u8(out, profiler_code(p));
     }
     snap::put_u32(out, spec.max_attempts);
+    snap::put_bool(out, spec.pgo);
 }
 
 fn decode_spec(r: &mut SnapReader<'_>) -> Result<JobSpec, SnapError> {
@@ -1002,10 +971,6 @@ fn decode_spec(r: &mut SnapReader<'_>) -> Result<JobSpec, SnapError> {
     for _ in 0..n {
         profilers.push(profiler_from_code(r.u8()?)?);
     }
-    let max_attempts = r.u32()?;
-    // `pgo` is a v5 tail field of the *containing* frame (Submit,
-    // Assignment), decoded there; the spec encoding itself is frozen so the
-    // tail-defaulted fields that follow it keep their positions.
     Ok(JobSpec {
         bench,
         scale,
@@ -1013,8 +978,8 @@ fn decode_spec(r: &mut SnapReader<'_>) -> Result<JobSpec, SnapError> {
         core,
         sampler,
         profilers,
-        max_attempts,
-        pgo: false,
+        max_attempts: r.u32()?,
+        pgo: r.bool()?,
     })
 }
 
@@ -1053,7 +1018,6 @@ impl Request {
             Request::Submit { spec, req_id } => {
                 encode_spec(&mut out, spec);
                 snap::put_u64(&mut out, *req_id);
-                snap::put_bool(&mut out, spec.pgo);
                 KIND_SUBMIT
             }
             Request::Status { job } => {
@@ -1137,18 +1101,16 @@ impl Request {
     pub fn decode(kind: u16, payload: &[u8]) -> Result<Self, TraceError> {
         let mut r = SnapReader::new(payload);
         let req = match kind {
-            KIND_SUBMIT => {
-                let mut spec = decode_spec(&mut r).map_err(snap_err)?;
-                let req_id = tail_u64(&mut r).map_err(snap_err)?;
-                spec.pgo = tail_bool(&mut r).map_err(snap_err)?;
-                Request::Submit { spec, req_id }
-            }
+            KIND_SUBMIT => Request::Submit {
+                spec: decode_spec(&mut r).map_err(snap_err)?,
+                req_id: r.u64().map_err(snap_err)?,
+            },
             KIND_STATUS => Request::Status {
                 job: r.u64().map_err(snap_err)?,
             },
             KIND_WATCH => Request::Watch {
                 job: r.u64().map_err(snap_err)?,
-                from_seq: tail_u64(&mut r).map_err(snap_err)?,
+                from_seq: r.u64().map_err(snap_err)?,
             },
             KIND_RESULT => Request::Result {
                 job: r.u64().map_err(snap_err)?,
@@ -1287,7 +1249,6 @@ impl Response {
                 snap::put_u64(&mut out, *task);
                 snap::put_u64(&mut out, *epoch);
                 encode_spec(&mut out, spec);
-                snap::put_bool(&mut out, spec.pgo);
                 KIND_R_ASSIGNMENT
             }
             Response::NoWork { draining } => {
@@ -1333,8 +1294,8 @@ impl Response {
             KIND_R_PROGRESS => Response::Progress {
                 job: r.u64().map_err(snap_err)?,
                 state: get_job_state(&mut r).map_err(snap_err)?,
-                seq: tail_u64(&mut r).map_err(snap_err)?,
-                cycles: tail_u64(&mut r).map_err(snap_err)?,
+                seq: r.u64().map_err(snap_err)?,
+                cycles: r.u64().map_err(snap_err)?,
             },
             KIND_R_RESULT => Response::ResultBody {
                 job: r.u64().map_err(snap_err)?,
@@ -1355,12 +1316,12 @@ impl Response {
                 mean_queue_wait_ms: r.f64().map_err(snap_err)?,
                 worker_utilization: r.f64().map_err(snap_err)?,
                 uptime_ms: r.u64().map_err(snap_err)?,
-                reassigned: tail_u32(&mut r).map_err(snap_err)?,
-                shed: tail_u32(&mut r).map_err(snap_err)?,
-                daemons: tail_u32(&mut r).map_err(snap_err)?,
-                stale: tail_u32(&mut r).map_err(snap_err)?,
-                deltas: tail_u64(&mut r).map_err(snap_err)?,
-                streamed: tail_u32(&mut r).map_err(snap_err)?,
+                reassigned: r.u32().map_err(snap_err)?,
+                shed: r.u32().map_err(snap_err)?,
+                daemons: r.u32().map_err(snap_err)?,
+                stale: r.u32().map_err(snap_err)?,
+                deltas: r.u64().map_err(snap_err)?,
+                streamed: r.u32().map_err(snap_err)?,
             }),
             KIND_R_SHUTDOWN => Response::ShuttingDown {
                 drain: r.bool().map_err(snap_err)?,
@@ -1384,13 +1345,11 @@ impl Response {
             KIND_R_BEACON_ACK => Response::BeaconAck {
                 tasks: r.u32().map_err(snap_err)?,
             },
-            KIND_R_ASSIGNMENT => {
-                let task = r.u64().map_err(snap_err)?;
-                let epoch = r.u64().map_err(snap_err)?;
-                let mut spec = decode_spec(&mut r).map_err(snap_err)?;
-                spec.pgo = tail_bool(&mut r).map_err(snap_err)?;
-                Response::Assignment { task, epoch, spec }
-            }
+            KIND_R_ASSIGNMENT => Response::Assignment {
+                task: r.u64().map_err(snap_err)?,
+                epoch: r.u64().map_err(snap_err)?,
+                spec: decode_spec(&mut r).map_err(snap_err)?,
+            },
             KIND_R_NO_WORK => Response::NoWork {
                 draining: r.bool().map_err(snap_err)?,
             },
@@ -1412,35 +1371,6 @@ impl Response {
         };
         finish(&r)?;
         Ok(resp)
-    }
-}
-
-/// Reads a version-2 tail field: absent (a v1 peer's frame ends here)
-/// decodes as 0, present decodes normally. This is the whole back-compat
-/// story — v2 only ever appends fields.
-fn tail_u64(r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-    if r.is_empty() {
-        Ok(0)
-    } else {
-        r.u64()
-    }
-}
-
-/// [`tail_u64`] for u32 tail fields (the `Stats` payload's v2 counters).
-fn tail_u32(r: &mut SnapReader<'_>) -> Result<u32, SnapError> {
-    if r.is_empty() {
-        Ok(0)
-    } else {
-        r.u32()
-    }
-}
-
-/// [`tail_u64`] for bool tail fields (the v5 `pgo` flag): absent is false.
-fn tail_bool(r: &mut SnapReader<'_>) -> Result<bool, SnapError> {
-    if r.is_empty() {
-        Ok(false)
-    } else {
-        r.bool()
     }
 }
 
@@ -1495,7 +1425,8 @@ pub fn write_frame(w: &mut impl Write, kind: u16, payload: &[u8]) -> io::Result<
 /// # Errors
 ///
 /// * [`TraceError::BadMagic`] — the stream is not TIPW.
-/// * [`TraceError::UnsupportedVersion`] — TIPW from a future build.
+/// * [`TraceError::UnsupportedVersion`] — TIPW of any version but
+///   [`VERSION`], older or newer.
 /// * [`TraceError::BadLength`] — declared payload length 0 or over
 ///   [`MAX_PAYLOAD`]; the stream is still aligned after the header.
 /// * [`TraceError::Corrupt`] — CRC mismatch over header + payload.
@@ -1518,7 +1449,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u16, Vec<u8>)>, TraceErro
         return Err(TraceError::BadMagic(m));
     }
     let version = u16::from_le_bytes([header[4], header[5]]);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(TraceError::UnsupportedVersion(version));
     }
     let kind = u16::from_le_bytes([header[6], header[7]]);

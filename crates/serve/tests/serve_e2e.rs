@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 
 use tip_bench::campaign::{run_campaign, CampaignConfig};
 use tip_bench::executor::{Job, RunCtx, Runner, SpecRunner};
+use tip_bench::run::DEFAULT_STREAM_CYCLES;
 use tip_core::{ProfileDelta, ProfilerId};
 use tip_isa::Granularity;
 use tip_serve::{
@@ -587,4 +588,62 @@ fn pgo_jobs_commit_optimized_runs_through_the_ledger() {
     );
     let _ = fs::remove_dir_all(&plain_dir);
     let _ = fs::remove_dir_all(&opt_dir);
+}
+
+/// A healthy local job many leases long is never reaped: the worker's
+/// slice loop beats the assignment's heartbeat at every simulated slice,
+/// so a lease means "the simulation advanced", not "an attempt started".
+///
+/// The lease adapts to the host: it is [`LEASE_SLICES`] slice-times long,
+/// with the slice-time measured on this host from the same benchmark at
+/// `Test` scale. The job then spans a fixed number of leases (its cycles
+/// over `LEASE_SLICES` slices), whatever the host's speed.
+#[test]
+fn local_job_longer_than_its_lease_settles_without_reassignment() {
+    const LEASE_SLICES: u64 = 8;
+    const BENCH: &str = "mcf";
+    let profilers = [ProfilerId::Tip];
+    let probe = Job::new(benchmark(BENCH, SuiteScale::Test), 42, &profilers);
+    let started = Instant::now();
+    let run = SpecRunner.run(&probe, &RunCtx::new(42)).expect("probe run");
+    let slice = started
+        .elapsed()
+        .mul_f64(DEFAULT_STREAM_CYCLES as f64 / run.summary.cycles as f64);
+    let lease = slice * LEASE_SLICES as u32;
+
+    let dir = tmp_dir("lease");
+    let mut cfg = ServerConfig::new(dir.clone());
+    cfg.workers = 1;
+    cfg.lease = lease;
+    let handle = serve(&cfg).expect("bind");
+    let client = Client::new(&handle.addr().to_string());
+    let mut spec = JobSpec::new(BENCH, SuiteScale::Small);
+    spec.profilers = profilers.to_vec();
+    let job = client.submit(&spec).expect("submit");
+    let state = wait_terminal(&client, job);
+    let stats = client.stats().expect("stats");
+    handle.shutdown();
+
+    let body = fs::read_to_string(dir.join(format!("{BENCH}.result"))).expect("result file");
+    let cycles: u64 = body
+        .lines()
+        .find_map(|l| l.strip_prefix("cycles="))
+        .and_then(|c| c.parse().ok())
+        .expect("cycles row");
+    let leases = cycles / (LEASE_SLICES * DEFAULT_STREAM_CYCLES);
+    assert!(
+        leases >= 4,
+        "the job spans only {leases} leases of {lease:?}"
+    );
+    assert_eq!(
+        state,
+        JobState::Done {
+            ok: true,
+            attempts: 1
+        }
+    );
+    assert_eq!(stats.reassigned, 0, "a beating lease was reaped");
+    let metrics = fs::read_to_string(dir.join("metrics.txt")).expect("metrics");
+    assert!(metrics.contains(" assignments=1 "), "{metrics}");
+    let _ = fs::remove_dir_all(&dir);
 }
